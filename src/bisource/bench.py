@@ -38,6 +38,15 @@ CSV_COLUMNS = [
 # quadratic in token count and quickly become infeasible)
 DEFAULT_MEMORY_CAP_ELEMENTS = 400_000_000
 
+# No point is timed before the sweep has run SETTLE_S: with OpenBLAS's default
+# two threads a fresh process ran its first ~1 s of calls up to 6x slower
+# (46 ms a call, then 7 ms, on a 2-vCPU VM), at a steady pace throughout.
+SETTLE_S = 2.0
+# After that, warm-up ends once a point's timings stop falling: a call that
+# takes at least STEADY_RATIO of the one before (or MAX_WARMUP_CALLS calls).
+STEADY_RATIO = 0.9
+MAX_WARMUP_CALLS = 50
+
 
 @dataclass
 class SweepConfig:
@@ -46,7 +55,7 @@ class SweepConfig:
     feat_dim: int = 32
     proto_dim: int = 32
     trials: int = 3
-    warmup: int = 1
+    warmup: int = 1  # minimum warm-up calls per point; more run until steady
     seed: int = 0
     memory_cap_elements: int = DEFAULT_MEMORY_CAP_ELEMENTS
 
@@ -107,8 +116,23 @@ def _run_once(kind: str, unit, pair: SourcePair, slot: Tensor) -> float:
     return dt
 
 
+def _warm_up(kind: str, unit, pair: SourcePair, slot: Tensor, min_calls: int,
+             settle_until: float) -> None:
+    """Call until the sweep has settled and this point's timings are steady."""
+    prev = _run_once(kind, unit, pair, slot)
+    calls = 1
+    while True:
+        t = _run_once(kind, unit, pair, slot)
+        calls += 1
+        steady = t >= STEADY_RATIO * prev or calls >= MAX_WARMUP_CALLS
+        if steady and calls >= min_calls and time.perf_counter() >= settle_until:
+            return
+        prev = t
+
+
 def run_sweep(cfg: SweepConfig, progress=None) -> list[BenchRow]:
     rows: list[BenchRow] = []
+    settle_until = time.perf_counter() + SETTLE_S
     for tag in cfg.variants:
         kind, k = parse_variant(tag)
         for L in cfg.token_counts:
@@ -146,8 +170,7 @@ def run_sweep(cfg: SweepConfig, progress=None) -> list[BenchRow]:
             pair = SourcePair(f1, f2, side, side)
             slot = f1
 
-            for _ in range(cfg.warmup):
-                _run_once(kind, unit, pair, slot)
+            _warm_up(kind, unit, pair, slot, cfg.warmup, settle_until)
             gc.collect()
             alloc_stats.reset_peak()
             times = [_run_once(kind, unit, pair, slot) for _ in range(cfg.trials)]

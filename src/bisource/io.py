@@ -8,6 +8,8 @@ Round-trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -34,19 +36,33 @@ def save_cpt1(path: str | Path, arr: np.ndarray) -> None:
 
 
 def load_cpt1(path: str | Path) -> np.ndarray:
+    """Read a CPT1 file; the header is checked against the file's size
+    before any payload is read."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        code, rank = struct.unpack("<BB", fh.read(2))
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(6)
+        if head[:4] != MAGIC:
+            raise ValueError(f"{path}: bad magic {head[:4]!r}")
+        if len(head) < 6:
+            raise ValueError(f"{path}: truncated header")
+        code, rank = head[4], head[5]
         if code not in _CODE_DTYPE:
             raise ValueError(f"{path}: unknown dtype code {code}")
-        shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(rank))
-        n = int(np.prod(shape))
-        data = np.frombuffer(fh.read(n * _CODE_DTYPE[code].itemsize), dtype=_CODE_DTYPE[code])
-        if data.size != n:
-            raise ValueError(f"{path}: truncated payload")
-    return data.reshape(shape).astype(_CODE_DTYPE[code].newbyteorder("="))
+        if not 1 <= rank <= 4:
+            raise ValueError(f"{path}: rank must be 1-4, got {rank}")
+        extents = fh.read(8 * rank)
+        if len(extents) != 8 * rank:
+            raise ValueError(f"{path}: truncated header")
+        shape = struct.unpack(f"<{rank}Q", extents)
+        dtype = _CODE_DTYPE[code]
+        want = math.prod(shape) * dtype.itemsize
+        have = size - 6 - 8 * rank
+        if want != have:
+            raise ValueError(
+                f"{path}: header {shape} implies {want} payload bytes, file holds {have}"
+            )
+        data = np.frombuffer(fh.read(want), dtype=dtype)
+    return data.reshape(shape).astype(dtype.newbyteorder("="))
 
 
 def write_pgm(path: str | Path, img: np.ndarray) -> None:

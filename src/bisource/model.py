@@ -72,7 +72,12 @@ class ModelConfig:
 
 
 class SelfAttention:
-    """Pre-norm single-head self-attention used inside encoder stages."""
+    """Pre-norm single-head self-attention used inside encoder stages.
+
+    Dense over all tokens.  At inference (no Tape active) the scores are built
+    in blocks of query rows, so a 4096-token stage never holds the full
+    4096 x 4096 score matrix; training keeps the taped op chain.
+    """
 
     def __init__(self, reg: ParamRegistry, rng: Rng, dim: int, name: str, dtype) -> None:
         self.dim = dim
@@ -88,9 +93,8 @@ class SelfAttention:
         q = T.matmul(h, self.w_q.value)
         k = T.matmul(h, self.w_k.value)
         v = T.matmul(h, self.w_v.value)
-        scores = T.mul_scalar(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(self.dim))
-        att = T.softmax_rows(scores)
-        return T.matmul(T.matmul(att, v), self.w_o.value)
+        att = T.attention_rows(q, k, v, 1.0 / math.sqrt(self.dim))
+        return T.matmul(att, self.w_o.value)
 
 
 class EncoderStage:

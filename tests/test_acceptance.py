@@ -225,6 +225,7 @@ def test_criterion_5_metric_oracles():
 # -- 6: toy end-to-end training ----------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_6_toy_training(toy_change, tmp_path):
     t0 = time.perf_counter()
     ckpt = tmp_path / "ckpt"
@@ -247,6 +248,7 @@ def test_criterion_6_toy_training(toy_change, tmp_path):
 # -- 7: ablation direction (soft: warning only) --------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_7_ablation_direction(small_change):
     _, train_samples = load_dataset(small_change / "train")
     _, test_samples = load_dataset(small_change / "test")

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from bisource import bench
 from bisource.cli import main
 from bisource.io import load_json, load_tensor_dir
 from bisource.model import BiSourceModel, ModelConfig
@@ -178,7 +179,8 @@ def test_gradcheck_unknown_scope_errors():
 # -- bench ----------------------------------------------------------------------
 
 
-def test_bench_small_sweep_writes_csv(tmp_path):
+def test_bench_small_sweep_writes_csv(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench, "SETTLE_S", 0.0)
     out = tmp_path / "bench.csv"
     rc = run_cli("bench", "--tokens", "16,64,256", "--variants", "ada:4",
                  "--out", str(out), "--seed", "0")

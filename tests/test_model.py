@@ -1,6 +1,9 @@
 """End-to-end model tests: shapes, symmetry, losses, training, checkpoints."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from bisource import (
 )
 from bisource.ada import INF_PROTOTYPES
 from bisource.model import cosine_lr
-from bisource.tensor import Rng
+from bisource.tensor import Rng, Tape
 from bisource.io import save_tensor_dir, load_tensor_dir
 
 
@@ -348,3 +351,83 @@ def test_same_seed_same_init():
     assert set(sa) == set(sb)
     for name in sa:
         np.testing.assert_array_equal(sa[name], sb[name])
+
+
+# -- one live tape per thread -------------------------------------------------------
+
+
+def _train_run(steps=4):
+    m = BiSourceModel(small_config(), seed=0)
+    opt = AdamW(m.parameters(), lr=1e-3)
+    rng = Rng(31)
+    i1, i2 = rand_pair(rng)
+    target = (rng.uniform((32, 32), 0.0, 1.0) > 0.5).astype(np.float32)
+    losses = [train_step(m, [(i1, i2, target)], opt) for _ in range(steps)]
+    return losses, m.state_arrays()
+
+
+def _predict_run(count=12):
+    # stage 2 (dim 8) scales by an inexact 1/sqrt(8), so a prediction that
+    # took the taped attention path would differ in its last bits
+    m = BiSourceModel(small_config(), seed=1)
+    rng = Rng(32)
+    return [m.predict_scores(*rand_pair(rng)) for _ in range(count)]
+
+
+def _assert_same_training(got, want):
+    assert got[0] == want[0]
+    for name in want[1]:
+        np.testing.assert_array_equal(got[1][name], want[1][name])
+
+
+def _assert_same_predictions(got, want):
+    for g, w in zip(got, want, strict=True):
+        np.testing.assert_array_equal(g, w)
+
+
+def _in_threads(*jobs):
+    barrier = threading.Barrier(len(jobs))
+
+    def start(job):
+        barrier.wait(timeout=60)
+        return job()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads' ops finely
+    try:
+        with ThreadPoolExecutor(len(jobs)) as pool:
+            futures = [pool.submit(start, job) for job in jobs]
+            return [f.result(timeout=300) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_trainer_and_predictor_threads_match_serial():
+    # two trainers, each with its own tape, and a predictor with none
+    serial_train, serial_pred = _train_run(), _predict_run()
+    train_a, pred, train_b = _in_threads(_train_run, _predict_run, _train_run)
+    _assert_same_training(train_a, serial_train)
+    _assert_same_training(train_b, serial_train)
+    _assert_same_predictions(pred, serial_pred)
+
+
+def test_tape_held_by_another_thread_neither_blocks_nor_records():
+    serial_train, serial_pred = _train_run(2), _predict_run(2)
+    entered, release = threading.Event(), threading.Event()
+
+    def hold() -> int:
+        with Tape() as tape:
+            entered.set()
+            release.wait(timeout=60)
+            return len(tape._records)
+
+    with ThreadPoolExecutor(1) as pool:
+        held = pool.submit(hold)
+        assert entered.wait(timeout=60)
+        try:
+            train, pred = _train_run(2), _predict_run(2)
+        finally:
+            release.set()
+        assert held.result() == 0
+    _assert_same_training(train, serial_train)
+    _assert_same_predictions(pred, serial_pred)

@@ -275,6 +275,9 @@ def _op_builders(rng: Rng):
     cls_logits = p64(rng, (6, 3), "cls_logits")
     labels = rng.integers(0, 3, size=6)
     keys = p64(rng, (5, 4), "keys")
+    att_q = p64(rng, (5, 4), "att_q")
+    att_k = p64(rng, (6, 4), "att_k")
+    att_v = p64(rng, (6, 3), "att_v")
     return {
         "matmul": (lambda: T.matmul(a.value, b.value), [a, b]),
         "transpose": (lambda: T.transpose(a.value), [a]),
@@ -289,6 +292,10 @@ def _op_builders(rng: Rng):
         "gelu": (lambda: T.gelu(x.value), [x]),
         "softmax_rows": (lambda: T.softmax_rows(x.value), [x]),
         "cosine_rows": (lambda: T.cosine_rows(a.value, keys.value), [a, keys]),
+        "attention_rows": (
+            lambda: T.attention_rows(att_q.value, att_k.value, att_v.value, 0.7),
+            [att_q, att_k, att_v],
+        ),
         "layer_norm": (lambda: T.layer_norm(x.value, gvec.value, bias.value), [x, gvec, bias]),
         "avg_pool_3": (lambda: T.avg_pool_2d(grid.value, 3), [grid]),
         "avg_pool_5": (lambda: T.avg_pool_2d(grid.value, 5), [grid]),
@@ -323,6 +330,100 @@ def test_every_op_gradient_five_seeds(op_name):
 
         report = grad_check(f, params, h=1e-5, tol=1e-4)
         assert report.passed, f"{op_name} seed {seed}: {report.summary()}"
+
+
+# ---------------------------------------------------------------------------
+# attention_rows: taped chain vs row-blocked inference path
+# ---------------------------------------------------------------------------
+
+
+ATTN_KEYS = 300  # key rows; the query row counts below cross block edges
+ATTN_ROWS = [1, 255, 256, 257, 4096]
+
+
+def _attention_chain(q, k, v, scale):
+    return T.matmul(T.softmax_rows(T.mul_scalar(T.matmul(q, T.transpose(k)), scale)), v)
+
+
+def _qkv(rows: int, dim: int, dtype):
+    rng = Rng(rows)
+    return (
+        Tensor(rng.normal((rows, dim), dtype=dtype)),
+        Tensor(rng.normal((ATTN_KEYS, dim), dtype=dtype)),
+        Tensor(rng.normal((ATTN_KEYS, dim), dtype=dtype)),
+    )
+
+
+def _taped_attention(q, k, v, scale) -> np.ndarray:
+    with Tape():
+        return T.attention_rows(q, k, v, scale).data
+
+
+def _peak_error(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+def test_attention_rows_taped_is_the_five_op_chain(dtype):
+    def run(fn):
+        rng = Rng(21)
+        q = Parameter(Tensor(rng.normal((9, 4), dtype=dtype)), "q")
+        k = Parameter(Tensor(rng.normal((7, 4), dtype=dtype)), "k")
+        v = Parameter(Tensor(rng.normal((7, 3), dtype=dtype)), "v")
+        with Tape() as tape:
+            out = fn(q.value, k.value, v.value, 0.3)
+            records = len(tape._records)
+            backward(T.sum_all(T.mul(out, out)), tape)
+        return out.data, records, [p.grad for p in (q, k, v)]
+
+    out, records, grads = run(T.attention_rows)
+    want_out, want_records, want_grads = run(_attention_chain)
+    np.testing.assert_array_equal(out, want_out)
+    assert records == want_records == 5
+    for g, w in zip(grads, want_grads):
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("rows", ATTN_ROWS)
+def test_attention_rows_untaped_float64_matches_taped(rows):
+    for dim, scale in ((16, 0.25), (32, 1.0 / np.sqrt(32.0))):
+        q, k, v = _qkv(rows, dim, F64)
+        got = T.attention_rows(q, k, v, scale).data
+        assert _peak_error(got, _taped_attention(q, k, v, scale)) <= 1e-12
+
+
+@pytest.mark.parametrize("rows", ATTN_ROWS)
+def test_attention_rows_untaped_float32_matches_taped(rows):
+    for dim, scale in ((16, 0.25), (32, 1.0 / np.sqrt(32.0))):
+        q, k, v = _qkv(rows, dim, np.float32)
+        got = T.attention_rows(q, k, v, scale).data
+        want = _taped_attention(q, k, v, scale)
+        assert got.dtype == np.float32
+        assert _peak_error(got, want) <= 1e-5
+        # folding an exact power-of-two scale into q changes no rounding; a
+        # lone tail row (257) goes through a different BLAS kernel
+        if scale == 0.25 and rows % T.ATTN_ROW_BLOCK != 1:
+            np.testing.assert_array_equal(got, want)
+
+
+def test_attention_rows_nan_in_q_raises_on_both_paths():
+    q, k, v = _qkv(300, 8, np.float32)
+    bad = q.data.copy()
+    bad[270, 3] = np.nan  # second block
+    with pytest.raises(NumericalError):
+        T.attention_rows(Tensor(bad), k, v, 0.25)
+    with Tape(), pytest.raises(NumericalError):
+        T.attention_rows(Tensor(bad), k, v, 0.25)
+
+
+def test_attention_rows_shape_errors():
+    q, k, v = _qkv(4, 8, F64)
+    with pytest.raises(ShapeError):
+        T.attention_rows(q, T.slice_channels(k, 0, 4), v, 1.0)  # q/k widths
+    with pytest.raises(ShapeError):
+        T.attention_rows(q, k, T.slice_rows(v, 0, 10), 1.0)  # k/v rows
+    with pytest.raises(ShapeError):
+        T.attention_rows(T.reshape(q, (4, 2, 4)), k, v, 1.0)  # rank 3
 
 
 # ---------------------------------------------------------------------------
@@ -395,3 +496,39 @@ def test_pgm_round_trip_bit_exact(tmp_path):
     path = tmp_path / "img.pgm"
     write_pgm(path, img)
     np.testing.assert_array_equal(read_pgm(path), img)
+
+
+def _cpt1_header(code: int, shape) -> bytes:
+    return b"CPT1" + bytes([code, len(shape)]) + b"".join(
+        int(e).to_bytes(8, "little") for e in shape
+    )
+
+
+def _assert_one_value_error_naming(path):
+    with pytest.raises(ValueError) as info:
+        load_cpt1(path)
+    assert str(path) in str(info.value)
+
+
+def test_cpt1_truncated_file_is_rejected(tmp_path):
+    path = tmp_path / "t.cpt1"
+    save_cpt1(path, np.arange(12, dtype=np.float32).reshape(3, 4))
+    raw = path.read_bytes()
+    for cut in (len(raw) - 1, 6 + 8 * 2 + 3, 6 + 5, 5):
+        path.write_bytes(raw[:cut])
+        _assert_one_value_error_naming(path)
+
+
+def test_cpt1_oversized_extent_is_rejected_before_reading(tmp_path):
+    path = tmp_path / "t.cpt1"
+    path.write_bytes(_cpt1_header(0, (2**40, 2**20)) + b"\0" * 16)
+    _assert_one_value_error_naming(path)
+    path.write_bytes(_cpt1_header(1, (2**63, 4)) + b"\0" * 16)
+    _assert_one_value_error_naming(path)
+
+
+@pytest.mark.parametrize("rank", [0, 5])
+def test_cpt1_rank_outside_one_to_four_is_rejected(tmp_path, rank):
+    path = tmp_path / "t.cpt1"
+    path.write_bytes(_cpt1_header(0, (1,) * rank) + b"\0" * 4)
+    _assert_one_value_error_naming(path)
