@@ -8,7 +8,7 @@ same front-end and residual wrapper is provided for scaling comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,17 +95,16 @@ class ParamRegistry:
         return dict(self._params)
 
 
-class Ffn:
-    """norm -> linear(dim -> r*dim) -> GELU -> linear(r*dim -> dim)."""
+class Mlp:
+    """norm -> linear(in -> hidden) -> GELU -> linear(hidden -> out)."""
 
-    def __init__(self, reg: ParamRegistry, rng: Rng, dim: int, expansion: int, name: str, dtype) -> None:
-        hid = expansion * dim
-        self.ln_g = reg.make(rng, f"{name}.ln_g", (dim,), "ones", dtype)
-        self.ln_b = reg.make(rng, f"{name}.ln_b", (dim,), "zeros", dtype)
-        self.w1 = reg.make(rng, f"{name}.w1", (dim, hid), "trunc_normal", dtype)
-        self.b1 = reg.make(rng, f"{name}.b1", (hid,), "zeros", dtype)
-        self.w2 = reg.make(rng, f"{name}.w2", (hid, dim), "trunc_normal", dtype)
-        self.b2 = reg.make(rng, f"{name}.b2", (dim,), "zeros", dtype)
+    def __init__(self, reg: ParamRegistry, rng: Rng, in_dim: int, hidden: int, out_dim: int, name: str, dtype) -> None:
+        self.ln_g = reg.make(rng, f"{name}.ln_g", (in_dim,), "ones", dtype)
+        self.ln_b = reg.make(rng, f"{name}.ln_b", (in_dim,), "zeros", dtype)
+        self.w1 = reg.make(rng, f"{name}.w1", (in_dim, hidden), "trunc_normal", dtype)
+        self.b1 = reg.make(rng, f"{name}.b1", (hidden,), "zeros", dtype)
+        self.w2 = reg.make(rng, f"{name}.w2", (hidden, out_dim), "trunc_normal", dtype)
+        self.b2 = reg.make(rng, f"{name}.b2", (out_dim,), "zeros", dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
         h = T.layer_norm(x, self.ln_g.value, self.ln_b.value)
@@ -115,9 +114,12 @@ class Ffn:
 
 
 class CompWeights:
-    """Normalization + projection shared by both pooled granularities."""
+    """Complementarity front-end: combine the two streams (elementwise product
+    for "consistency", absolute difference for "difference"), pool the result
+    at windows {1, 3, 5}, normalize, project and split into (key, value)."""
 
-    def __init__(self, reg: ParamRegistry, rng: Rng, feat_dim: int, proto_dim: int, name: str, dtype) -> None:
+    def __init__(self, reg: ParamRegistry, rng: Rng, comp_op: str, feat_dim: int, proto_dim: int, name: str, dtype) -> None:
+        self.op = {"consistency": "mul", "difference": "absdiff"}[comp_op]
         cin = 3 * feat_dim
         self.ln_g = reg.make(rng, f"{name}.ln_g", (cin,), "ones", dtype)
         self.ln_b = reg.make(rng, f"{name}.ln_b", (cin,), "zeros", dtype)
@@ -125,35 +127,58 @@ class CompWeights:
         self.bias = reg.make(rng, f"{name}.bias", (2 * proto_dim,), "zeros", dtype)
         self.proto_dim = proto_dim
 
-
-def _comp_pyramid(w: CompWeights, base: Tensor, h: int, wd: int) -> tuple[Tensor, Tensor]:
-    """Pool the base map at windows {1, 3, 5}, project, split into (key, value)."""
-    c = base.shape[-1]
-    grid = T.reshape(base, (h, wd, c))
-    p1 = T.avg_pool_2d(grid, 3)
-    p2 = T.avg_pool_2d(grid, 5)
-    stack = T.concat_channels([grid, p1, p2])
-    flat = T.reshape(stack, (h * wd, 3 * c))
-    flat = T.layer_norm(flat, w.ln_g.value, w.ln_b.value)
-    flat = T.add_bias(T.matmul(flat, w.proj.value), w.bias.value)
-    d = w.proto_dim
-    return T.slice_channels(flat, 0, d), T.slice_channels(flat, d, 2 * d)
-
-
-def comp_consistency(w: CompWeights, s: SourcePair) -> tuple[Tensor, Tensor]:
-    return _comp_pyramid(w, T.mul(s.f1, s.f2), s.h, s.w)
+    def __call__(self, s: SourcePair) -> tuple[Tensor, Tensor]:
+        base = getattr(T, self.op)(s.f1, s.f2)  # looked up per call, so wrappers on T see it
+        c = base.shape[-1]
+        grid = T.reshape(base, (s.h, s.w, c))
+        p1 = T.avg_pool_2d(grid, 3)
+        p2 = T.avg_pool_2d(grid, 5)
+        stack = T.concat_channels([grid, p1, p2])
+        flat = T.reshape(stack, (s.h * s.w, 3 * c))
+        flat = T.layer_norm(flat, self.ln_g.value, self.ln_b.value)
+        flat = T.add_bias(T.matmul(flat, self.proj.value), self.bias.value)
+        d = self.proto_dim
+        return T.slice_channels(flat, 0, d), T.slice_channels(flat, d, 2 * d)
 
 
-def comp_difference(w: CompWeights, s: SourcePair) -> tuple[Tensor, Tensor]:
-    return _comp_pyramid(w, T.absdiff(s.f1, s.f2), s.h, s.w)
+class GatedAttention:
+    """What both attention forms share: the complementarity front-end and the
+    gated residual slot + FFN(slot + gate * z).
 
-
-class ProtoAttention:
-    """One aggregation-diffusion unit; all learnable state lives here.
-
-    The gate vector is zero at construction, so the unit is exactly
-    slot + FFN(slot) until training moves the gate.
+    A subclass creates its own weights in ``_make_weights``; the gate, the FFN
+    and the comp weights follow, in that order.  The gate is zero at
+    construction, so the unit is exactly slot + FFN(slot) until it trains.
     """
+
+    ffn_name = "ffn"
+
+    def __init__(self, cfg: AdaConfig, reg: ParamRegistry, rng: Rng, name: str, dtype) -> None:
+        d, c, r = cfg.proto_dim, cfg.feat_dim, cfg.ffn_expansion
+        if cfg.comp_op == "identity" and d != c:
+            raise ValueError("identity comp_op requires proto_dim == feat_dim")
+        self.cfg = cfg
+        self._make_weights(reg, rng, name, dtype)
+        self.gate = reg.make(rng, f"{name}.gate", (c,), "zeros", dtype)
+        self.ffn = Mlp(reg, rng, c, r * c, c, f"{name}.{self.ffn_name}", dtype)
+        self.comp = (
+            None if cfg.comp_op == "identity"
+            else CompWeights(reg, rng, cfg.comp_op, c, d, f"{name}.comp", dtype)
+        )
+
+    def comp_embed(self, s: SourcePair) -> tuple[Tensor, Tensor]:
+        if self.comp is None:
+            return s.f1, s.f1  # identity: raw first-stream rows as key and value
+        return self.comp(s)
+
+    def gated_residual(self, slot: Tensor, z: Tensor) -> Tensor:
+        gated = T.add(slot, T.scale_channels(z, self.gate.value))
+        return T.add(slot, self.ffn(gated))
+
+
+class ProtoAttention(GatedAttention):
+    """One aggregation-diffusion unit; all learnable state lives here."""
+
+    ffn_name = "ffn_bw"
 
     def __init__(
         self,
@@ -164,39 +189,23 @@ class ProtoAttention:
         name: str = "ada",
         dtype=np.float32,
     ) -> None:
-        k = cfg.resolve_k(num_source_tokens) if num_source_tokens is not None else cfg.resolve_k(0)
-        if k < 1:
+        self.k = cfg.resolve_k(num_source_tokens or 0)
+        if self.k < 1:
             raise ValueError("resolved prototype count must be >= 1 (pass num_source_tokens for inf)")
-        d, c, r = cfg.proto_dim, cfg.feat_dim, cfg.ffn_expansion
-        self.cfg = cfg
-        self.k = k
+        super().__init__(cfg, reg, rng, name, dtype)
+
+    def _make_weights(self, reg: ParamRegistry, rng: Rng, name: str, dtype) -> None:
+        k, d, c, r = self.k, self.cfg.proto_dim, self.cfg.feat_dim, self.cfg.ffn_expansion
         self.prototypes = reg.make(rng, f"{name}.prototypes", (k, d), "trunc_normal", dtype)
         self.w_q_fw = reg.make(rng, f"{name}.w_q_fw", (d, d), "trunc_normal", dtype)
         self.w_o_fw = reg.make(rng, f"{name}.w_o_fw", (d, d), "trunc_normal", dtype)
-        self.ffn_fw = Ffn(reg, rng, d, r, f"{name}.ffn_fw", dtype)
+        self.ffn_fw = Mlp(reg, rng, d, r * d, d, f"{name}.ffn_fw", dtype)
         self.w_q_bw = reg.make(rng, f"{name}.w_q_bw", (c, d), "trunc_normal", dtype)
         self.w_k_bw = reg.make(rng, f"{name}.w_k_bw", (d, d), "trunc_normal", dtype)
         self.w_v_bw = reg.make(rng, f"{name}.w_v_bw", (d, d), "trunc_normal", dtype)
         self.w_o_bw = reg.make(rng, f"{name}.w_o_bw", (d, c), "trunc_normal", dtype)
-        self.gate = reg.make(rng, f"{name}.gate", (c,), "zeros", dtype)
-        self.ffn_bw = Ffn(reg, rng, c, r, f"{name}.ffn_bw", dtype)
-        if cfg.comp_op == "identity":
-            if d != c:
-                raise ValueError("identity comp_op requires proto_dim == feat_dim")
-            self.comp = None
-        else:
-            self.comp = CompWeights(reg, rng, c, d, f"{name}.comp", dtype)
 
     # -- stages ------------------------------------------------------------
-
-    def comp_embed(self, s: SourcePair) -> tuple[Tensor, Tensor]:
-        if self.cfg.comp_op == "consistency":
-            assert self.comp is not None
-            return comp_consistency(self.comp, s)
-        if self.cfg.comp_op == "difference":
-            assert self.comp is not None
-            return comp_difference(self.comp, s)
-        return s.f1, s.f1  # identity: raw first-stream rows as key and value
 
     def aggregate(self, k_fw: Tensor, v_fw: Tensor) -> Tensor:
         """Absorb source tokens into the prototype bank (convex token mixtures)."""
@@ -214,8 +223,7 @@ class ProtoAttention:
         att = T.softmax_rows(sim)  # normalize over prototypes per token
         v_bw = T.matmul(p_tilde, self.w_v_bw.value)
         z = T.matmul(T.matmul(att, v_bw), self.w_o_bw.value)
-        gated = T.add(slot, T.scale_channels(z, self.gate.value))
-        return T.add(slot, self.ffn_bw(gated))
+        return self.gated_residual(slot, z)
 
     def forward(self, s: SourcePair, slot: Tensor) -> Tensor:
         k_fw, v_fw = self.comp_embed(s)
@@ -223,32 +231,17 @@ class ProtoAttention:
         return self.diffuse(p_tilde, slot)
 
 
-class StdAttention:
+class StdAttention(GatedAttention):
     """Dense single-head scaled-dot-product baseline with the same
     complementarity front-end and residual + FFN wrapper."""
 
     def __init__(self, cfg: AdaConfig, reg: ParamRegistry, rng: Rng, name: str = "std", dtype=np.float32) -> None:
-        d, c, r = cfg.proto_dim, cfg.feat_dim, cfg.ffn_expansion
-        self.cfg = cfg
+        super().__init__(cfg, reg, rng, name, dtype)
+
+    def _make_weights(self, reg: ParamRegistry, rng: Rng, name: str, dtype) -> None:
+        d, c = self.cfg.proto_dim, self.cfg.feat_dim
         self.w_q = reg.make(rng, f"{name}.w_q", (c, d), "trunc_normal", dtype)
         self.w_o = reg.make(rng, f"{name}.w_o", (d, c), "trunc_normal", dtype)
-        self.gate = reg.make(rng, f"{name}.gate", (c,), "zeros", dtype)
-        self.ffn = Ffn(reg, rng, c, r, f"{name}.ffn", dtype)
-        if cfg.comp_op == "identity":
-            if d != c:
-                raise ValueError("identity comp_op requires proto_dim == feat_dim")
-            self.comp = None
-        else:
-            self.comp = CompWeights(reg, rng, c, d, f"{name}.comp", dtype)
-
-    def comp_embed(self, s: SourcePair) -> tuple[Tensor, Tensor]:
-        if self.cfg.comp_op == "consistency":
-            assert self.comp is not None
-            return comp_consistency(self.comp, s)
-        if self.cfg.comp_op == "difference":
-            assert self.comp is not None
-            return comp_difference(self.comp, s)
-        return s.f1, s.f1
 
     def forward(self, s: SourcePair, slot: Tensor) -> Tensor:
         keys, values = self.comp_embed(s)
@@ -259,22 +252,25 @@ class StdAttention:
         del scores
         z = T.matmul(att, values)
         del att, values
-        z = T.matmul(z, self.w_o.value)
-        gated = T.add(slot, T.scale_channels(z, self.gate.value))
-        return T.add(slot, self.ffn(gated))
+        return self.gated_residual(slot, T.matmul(z, self.w_o.value))
 
 
-def build_unit(cfg: AdaConfig, rng: Rng, num_source_tokens: int | None = None, dtype=np.float32) -> ProtoAttention:
+def make_attention(form: str, cfg: AdaConfig, reg: ParamRegistry, rng: Rng, num_source_tokens: int | None = None,
+                   name: str | None = None, dtype=np.float32) -> GatedAttention:
+    """Prototype ("ada") or dense ("std") attention, named ``form`` by default."""
+    name = form if name is None else name
+    if form == "ada":
+        return ProtoAttention(cfg, reg, rng, num_source_tokens=num_source_tokens, name=name, dtype=dtype)
+    if form == "std":
+        return StdAttention(cfg, reg, rng, name=name, dtype=dtype)
+    raise ValueError(f"attention form must be 'ada' or 'std', got {form!r}")
+
+
+def build_unit(cfg: AdaConfig, rng: Rng, num_source_tokens: int | None = None, dtype=np.float32,
+               form: str = "ada") -> GatedAttention:
     """Standalone unit with its own registry (tests and benchmarks)."""
     reg = ParamRegistry()
-    unit = ProtoAttention(cfg, reg, rng, num_source_tokens=num_source_tokens, dtype=dtype)
-    unit.registry = reg  # type: ignore[attr-defined]
-    return unit
-
-
-def build_std(cfg: AdaConfig, rng: Rng, dtype=np.float32) -> StdAttention:
-    reg = ParamRegistry()
-    unit = StdAttention(cfg, reg, rng, dtype=dtype)
+    unit = make_attention(form, cfg, reg, rng, num_source_tokens=num_source_tokens, dtype=dtype)
     unit.registry = reg  # type: ignore[attr-defined]
     return unit
 

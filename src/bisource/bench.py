@@ -10,17 +10,15 @@ import csv
 import gc
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import tensor as T
 from .ada import (
     AdaConfig,
     INF_PROTOTYPES,
     SourcePair,
-    build_std,
     build_unit,
     flops_of,
     params_of,
@@ -55,7 +53,6 @@ class SweepConfig:
     feat_dim: int = 32
     proto_dim: int = 32
     trials: int = 3
-    warmup: int = 1  # minimum warm-up calls per point; more run until steady
     seed: int = 0
     memory_cap_elements: int = DEFAULT_MEMORY_CAP_ELEMENTS
 
@@ -108,7 +105,7 @@ def dominant_buffer_elements(kind: str, k: float | None, L: int, C: int, D: int)
     return max(linear, kk * L, max(kk, L) * D)
 
 
-def _run_once(kind: str, unit, pair: SourcePair, slot: Tensor) -> float:
+def _run_once(unit, pair: SourcePair, slot: Tensor) -> float:
     t0 = time.perf_counter()
     out = unit.forward(pair, slot)
     dt = time.perf_counter() - t0
@@ -116,16 +113,15 @@ def _run_once(kind: str, unit, pair: SourcePair, slot: Tensor) -> float:
     return dt
 
 
-def _warm_up(kind: str, unit, pair: SourcePair, slot: Tensor, min_calls: int,
-             settle_until: float) -> None:
+def _warm_up(unit, pair: SourcePair, slot: Tensor, settle_until: float) -> None:
     """Call until the sweep has settled and this point's timings are steady."""
-    prev = _run_once(kind, unit, pair, slot)
+    prev = _run_once(unit, pair, slot)
     calls = 1
     while True:
-        t = _run_once(kind, unit, pair, slot)
+        t = _run_once(unit, pair, slot)
         calls += 1
         steady = t >= STEADY_RATIO * prev or calls >= MAX_WARMUP_CALLS
-        if steady and calls >= min_calls and time.perf_counter() >= settle_until:
+        if steady and time.perf_counter() >= settle_until:
             return
         prev = t
 
@@ -159,21 +155,17 @@ def run_sweep(cfg: SweepConfig, progress=None) -> list[BenchRow]:
                 feat_dim=C,
                 comp_op="consistency",
             )
-            if kind == "std":
-                unit = build_std(ada_cfg, rng)
-                kk = None
-            else:
-                unit = build_unit(ada_cfg, rng, num_source_tokens=L)
-                kk = unit.k
+            unit = build_unit(ada_cfg, rng, num_source_tokens=L, form=kind)
+            kk = None if kind == "std" else unit.k
             f1 = Tensor(rng.normal((L, C), std=1.0))
             f2 = Tensor(rng.normal((L, C), std=1.0))
             pair = SourcePair(f1, f2, side, side)
             slot = f1
 
-            _warm_up(kind, unit, pair, slot, cfg.warmup, settle_until)
+            _warm_up(unit, pair, slot, settle_until)
             gc.collect()
             alloc_stats.reset_peak()
-            times = [_run_once(kind, unit, pair, slot) for _ in range(cfg.trials)]
+            times = [_run_once(unit, pair, slot) for _ in range(cfg.trials)]
             peak = alloc_stats.peak_elements
 
             flops = flops_of(kind, L, L, D, C, K=kk)["total"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .ada import AdaConfig, Ffn, ParamRegistry, ProtoAttention, SourcePair, StdAttention
+from .ada import AdaConfig, Mlp, ParamRegistry, SourcePair, make_attention
 from .tensor import Rng, Tensor
 
 
@@ -29,38 +29,13 @@ class ConsistencyBlock:
     ) -> None:
         if cfg.comp_op not in ("consistency", "identity"):
             raise ValueError("consistency block requires consistency (or identity) comp_op")
-        if attention_form == "std":
-            self.attn = StdAttention(cfg, reg, rng, name=name, dtype=dtype)
-        else:
-            self.attn = ProtoAttention(cfg, reg, rng, num_source_tokens=num_source_tokens, name=name, dtype=dtype)
-
-    @property
-    def ada(self):
-        return self.attn
+        self.attn = make_attention(attention_form, cfg, reg, rng, num_source_tokens, name, dtype)
 
     def forward(self, s: SourcePair) -> tuple[Tensor, Tensor]:
         L = s.length
         slot = T.concat_rows([s.f1, s.f2])
         out = self.attn.forward(s, slot)
         return T.slice_rows(out, 0, L), T.slice_rows(out, L, 2 * L)
-
-
-class SlotMixer:
-    """norm -> linear -> GELU -> linear over the channel-stacked inputs."""
-
-    def __init__(self, reg: ParamRegistry, rng: Rng, in_dim: int, out_dim: int, name: str, dtype) -> None:
-        self.ln_g = reg.make(rng, f"{name}.ln_g", (in_dim,), "ones", dtype)
-        self.ln_b = reg.make(rng, f"{name}.ln_b", (in_dim,), "zeros", dtype)
-        self.w1 = reg.make(rng, f"{name}.w1", (in_dim, out_dim), "trunc_normal", dtype)
-        self.b1 = reg.make(rng, f"{name}.b1", (out_dim,), "zeros", dtype)
-        self.w2 = reg.make(rng, f"{name}.w2", (out_dim, out_dim), "trunc_normal", dtype)
-        self.b2 = reg.make(rng, f"{name}.b2", (out_dim,), "zeros", dtype)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        h = T.layer_norm(x, self.ln_g.value, self.ln_b.value)
-        h = T.add_bias(T.matmul(h, self.w1.value), self.b1.value)
-        h = T.gelu(h)
-        return T.add_bias(T.matmul(h, self.w2.value), self.b2.value)
 
 
 class DifferenceBlock:
@@ -79,19 +54,10 @@ class DifferenceBlock:
         if cfg.comp_op not in ("difference", "identity"):
             raise ValueError("difference block requires difference (or identity) comp_op")
         c = cfg.feat_dim
-        self.feat_dim = c
-        self.mixer = SlotMixer(reg, rng, 2 * c + deeper_dim, c, f"{name}.mixer", dtype)
-        self.mixer_only = mixer_only
-        if mixer_only:
-            self.attn = None
-        elif attention_form == "std":
-            self.attn = StdAttention(cfg, reg, rng, name=name, dtype=dtype)
-        else:
-            self.attn = ProtoAttention(cfg, reg, rng, num_source_tokens=num_source_tokens, name=name, dtype=dtype)
-
-    @property
-    def ada(self):
-        return self.attn
+        self.mixer = Mlp(reg, rng, 2 * c + deeper_dim, c, c, f"{name}.mixer", dtype)
+        self.attn = None if mixer_only else make_attention(
+            attention_form, cfg, reg, rng, num_source_tokens, name, dtype
+        )
 
     def build_slot(self, s: SourcePair, deeper: Tensor, deeper_h: int, deeper_w: int) -> Tensor:
         if (deeper_h * 2, deeper_w * 2) != (s.h, s.w):

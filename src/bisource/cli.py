@@ -307,18 +307,13 @@ def _scope_op(rng: Rng):
     return f, [a, b, g, bt]
 
 
-def _ada_fixture(rng: Rng, comp_op: str):
-    cfg = AdaConfig(num_prototypes=2, proto_dim=3, feat_dim=3, comp_op=comp_op)
+def _scope_ada(rng: Rng):
+    cfg = AdaConfig(num_prototypes=2, proto_dim=3, feat_dim=3, comp_op="consistency")
     unit = build_unit(cfg, rng, num_source_tokens=4, dtype=np.float64)
     _randomize_gates(unit.registry, rng)
     f1 = Tensor(rng.normal((4, 3), dtype=np.float64))
     f2 = Tensor(rng.normal((4, 3), dtype=np.float64))
     pair = SourcePair(f1, f2, 2, 2)
-    return unit, pair
-
-
-def _scope_ada(rng: Rng):
-    unit, pair = _ada_fixture(rng, "consistency")
     slot = Tensor(rng.normal((4, 3), dtype=np.float64))
     return (lambda: T.sum_all(unit.forward(pair, slot))), unit.registry.all()
 
@@ -392,13 +387,9 @@ def cmd_bench(o: dict) -> int:
     if o["sweep"]:
         kw.update(load_json(o["sweep"]))
     if o["tokens"]:
-        kw["token_counts"] = tuple(int(t) for t in str(o["tokens"]).split(","))
+        kw["token_counts"] = [int(t) for t in str(o["tokens"]).split(",")]
     if o["variants"]:
-        kw["variants"] = tuple(str(o["variants"]).split(","))
-    if "token_counts" in kw:
-        kw["token_counts"] = tuple(kw["token_counts"])
-    if "variants" in kw:
-        kw["variants"] = tuple(kw["variants"])
+        kw["variants"] = str(o["variants"]).split(",")
     kw.setdefault("trials", int(o["trials"]))
     kw.setdefault("seed", int(o["seed"]))
     cfg = bench_mod.SweepConfig(**kw)

@@ -7,12 +7,12 @@ density regression loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import tensor as T
-from .ada import AdaConfig, Ffn, INF_PROTOTYPES, ParamRegistry, SourcePair
+from .ada import AdaConfig, INF_PROTOTYPES, Mlp, ParamRegistry, SourcePair
 from .blocks import ConsistencyBlock, DifferenceBlock
 from .tensor import NumericalError, Parameter, Rng, Tape, Tensor, backward
 
@@ -108,8 +108,7 @@ class EncoderStage:
         self.merge_w = reg.make(rng, f"{name}.merge_w", (merged, out_dim), "trunc_normal", dtype)
         self.merge_b = reg.make(rng, f"{name}.merge_b", (out_dim,), "zeros", dtype)
         self.attn = SelfAttention(reg, rng, out_dim, f"{name}.attn", dtype)
-        self.ffn = Ffn(reg, rng, out_dim, 2, f"{name}.ffn", dtype)
-        self.out_dim = out_dim
+        self.ffn = Mlp(reg, rng, out_dim, 2 * out_dim, out_dim, f"{name}.ffn", dtype)
 
     def __call__(self, x: Tensor, h: int, w: int) -> tuple[Tensor, int, int]:
         grid = T.reshape(x, (h, w, x.shape[-1]))
@@ -124,24 +123,15 @@ class EncoderStage:
 
 
 class TaskHead:
-    """norm -> linear -> GELU -> linear, then bilinear upsampling to input."""
+    """Mlp (norm -> linear -> GELU -> linear), then bilinear upsampling to input."""
 
     def __init__(self, reg: ParamRegistry, rng: Rng, dim: int, kind: str, n_classes: int, name: str, dtype) -> None:
         self.kind = kind
-        out_dim = {"binary": 1, "density": 1, "multiclass": n_classes}[kind]
-        self.ln_g = reg.make(rng, f"{name}.ln_g", (dim,), "ones", dtype)
-        self.ln_b = reg.make(rng, f"{name}.ln_b", (dim,), "zeros", dtype)
-        self.w1 = reg.make(rng, f"{name}.w1", (dim, dim), "trunc_normal", dtype)
-        self.b1 = reg.make(rng, f"{name}.b1", (dim,), "zeros", dtype)
-        self.w2 = reg.make(rng, f"{name}.w2", (dim, out_dim), "trunc_normal", dtype)
-        self.b2 = reg.make(rng, f"{name}.b2", (out_dim,), "zeros", dtype)
-        self.out_dim = out_dim
+        self.out_dim = {"binary": 1, "density": 1, "multiclass": n_classes}[kind]
+        self.mlp = Mlp(reg, rng, dim, dim, self.out_dim, name, dtype)
 
     def __call__(self, x: Tensor, h: int, w: int) -> Tensor:
-        y = T.layer_norm(x, self.ln_g.value, self.ln_b.value)
-        y = T.gelu(T.add_bias(T.matmul(y, self.w1.value), self.b1.value))
-        y = T.add_bias(T.matmul(y, self.w2.value), self.b2.value)
-        grid = T.reshape(y, (h, w, self.out_dim))
+        grid = T.reshape(self.mlp(x), (h, w, self.out_dim))
         grid = T.bilinear_upsample_2x(grid)
         grid = T.bilinear_upsample_2x(grid)
         if self.kind == "density":
@@ -317,9 +307,10 @@ class BiSourceModel:
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         named = self.registry.named()
-        missing = set(named) - set(arrays)
-        if missing:
-            raise ValueError(f"checkpoint missing parameters: {sorted(missing)[:5]}...")
+        for problem, names in (("missing", set(named) - set(arrays)),
+                               ("has unknown", set(arrays) - set(named))):
+            if names:
+                raise ValueError(f"checkpoint {problem} parameters: {sorted(names)[:5]}...")
         for name, p in named.items():
             a = arrays[name]
             if tuple(a.shape) != p.value.shape:

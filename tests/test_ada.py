@@ -10,7 +10,6 @@ from bisource.ada import (
     INF_PROTOTYPES,
     AdaConfig,
     SourcePair,
-    build_std,
     build_unit,
     flops_of,
     params_of,
@@ -65,7 +64,7 @@ def test_std_attention_matches_oracle():
     for seed in range(10):
         rng = Rng(3000 + seed)
         cfg = AdaConfig(num_prototypes=1, proto_dim=3, feat_dim=3, comp_op="consistency")
-        unit = build_std(cfg, Rng(seed), dtype=F64)
+        unit = build_unit(cfg, Rng(seed), dtype=F64, form="std")
         randomize_gates(unit, rng)
         pair = make_pair(rng, L=9, h=3, w=3)
         slot = Tensor(rng.normal((9, 3), dtype=F64))
@@ -81,7 +80,7 @@ def test_std_attention_single_source_token():
     # with one key/value token the softmax weight is exactly 1
     rng = Rng(4)
     cfg = AdaConfig(num_prototypes=1, proto_dim=3, feat_dim=3, comp_op="identity")
-    unit = build_std(cfg, Rng(1), dtype=F64)
+    unit = build_unit(cfg, Rng(1), dtype=F64, form="std")
     randomize_gates(unit, rng)
     pair = make_pair(rng, L=1, h=1, w=1)
     slot = Tensor(rng.normal((2, 3), dtype=F64))
@@ -225,9 +224,11 @@ def test_inf_sentinel_materializes_one_prototype_per_token():
 
 
 def test_identity_comp_requires_matching_dims():
+    # one check, shared by both attention forms
     cfg = AdaConfig(num_prototypes=2, proto_dim=4, feat_dim=3, comp_op="identity")
-    with pytest.raises(ValueError):
-        build_unit(cfg, Rng(0), num_source_tokens=4)
+    for form in ("ada", "std"):
+        with pytest.raises(ValueError, match="proto_dim == feat_dim"):
+            build_unit(cfg, Rng(0), num_source_tokens=4, form=form)
 
 
 def test_config_validation():

@@ -90,7 +90,7 @@ def test_small_sweep_rows_and_flops(monkeypatch):
     monkeypatch.setattr(bench, "SETTLE_S", 0.0)
     cfg = SweepConfig(
         token_counts=(16, 64, 256), variants=("ada:4", "std"),
-        feat_dim=8, proto_dim=8, trials=3, warmup=0,
+        feat_dim=8, proto_dim=8, trials=3,
     )
     rows = run_sweep(cfg)
     assert len(rows) == 6
@@ -108,8 +108,8 @@ def _scripted_calls(monkeypatch, times_ms):
     """Make each forward call report the next scripted time; returns the call log."""
     log = []
 
-    def fake_run_once(kind, unit, pair, slot):
-        log.append(kind)
+    def fake_run_once(unit, pair, slot):
+        log.append(unit)
         return times_ms[min(len(log), len(times_ms)) - 1] / 1e3
 
     monkeypatch.setattr(bench, "_run_once", fake_run_once)
@@ -120,17 +120,14 @@ def test_warm_up_runs_until_timings_stop_falling(monkeypatch):
     # warm-up stops at the first call that is no longer faster than
     # STEADY_RATIO x the call before it
     log = _scripted_calls(monkeypatch, [40, 20, 10, 5, 4.9, 5])
-    bench._warm_up("ada", None, None, None, min_calls=1, settle_until=0.0)
+    bench._warm_up(None, None, None, settle_until=0.0)
     assert len(log) == 5
-    log = _scripted_calls(monkeypatch, [5, 5, 5, 5, 5, 5, 5])
-    bench._warm_up("ada", None, None, None, min_calls=4, settle_until=0.0)
-    assert len(log) == 4
 
 
 def test_warm_up_waits_for_the_sweep_to_settle(monkeypatch):
     log = _scripted_calls(monkeypatch, [5])
     t0 = time.perf_counter()
-    bench._warm_up("ada", None, None, None, min_calls=1, settle_until=t0 + 0.05)
+    bench._warm_up(None, None, None, settle_until=t0 + 0.05)
     assert time.perf_counter() - t0 >= 0.05
     assert len(log) >= 2
 
@@ -139,7 +136,7 @@ def test_sweep_skips_over_memory_cap(monkeypatch):
     monkeypatch.setattr(bench, "SETTLE_S", 0.0)
     cfg = SweepConfig(
         token_counts=(16, 64, 256), variants=("std",),
-        feat_dim=8, proto_dim=8, trials=3, warmup=0,
+        feat_dim=8, proto_dim=8, trials=3,
         memory_cap_elements=1000,
     )
     rows = run_sweep(cfg)

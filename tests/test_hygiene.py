@@ -1,0 +1,53 @@
+"""Source hygiene: no module of the package imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bisource"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements that the module never reads.
+
+    ``from __future__`` imports and names listed in ``__all__`` count as used.
+    """
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # "import a.b" binds "a"
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {
+                e.value for e in ast.walk(node.value)
+                if isinstance(e, ast.Constant) and isinstance(e.value, str)
+            }
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_checker_flags_unused_and_honours_all_and_future():
+    src = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path\n"
+        "from math import pi, tau\n"
+        "from json import dumps\n"
+        "__all__ = ['dumps']\n"
+        "print(tau, os.sep)\n"
+    )
+    assert unused_imports(src) == ["pi (line 4)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

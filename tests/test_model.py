@@ -1,5 +1,6 @@
 """End-to-end model tests: shapes, symmetry, losses, training, checkpoints."""
 
+import hashlib
 import math
 import sys
 import threading
@@ -317,6 +318,14 @@ def test_load_state_missing_param_raises():
         m.load_state(state)
 
 
+def test_load_state_unknown_param_raises():
+    m = BiSourceModel(small_config(), seed=0)
+    state = m.state_arrays()
+    state["enc1.stale"] = np.zeros(3, dtype=np.float32)
+    with pytest.raises(ValueError, match="enc1.stale"):
+        m.load_state(state)
+
+
 def test_load_state_shape_mismatch_raises():
     m = BiSourceModel(small_config(), seed=0)
     state = m.state_arrays()
@@ -324,6 +333,35 @@ def test_load_state_shape_mismatch_raises():
     state[name] = np.zeros(np.asarray(state[name]).shape + (1,), dtype=np.float32)
     with pytest.raises(ValueError):
         m.load_state(state)
+
+
+# Digests of every parameter's name, shape, dtype and bytes, in registry order,
+# recorded before the attention units and MLPs were folded into shared classes:
+# a refactor must keep parameter names, creation order and seeded draws.
+SEEDED_PARAM_DIGESTS = {
+    "binary": ({}, 260, "0ba4d9a4d4122a7df6733c5d9a1bad6d"),
+    "std": ({"attention_form": "std"}, 183, "9adacda12a50e39c2d364f013671719a"),
+    "multiclass": ({"head": "multiclass", "n_classes": 3}, 260, "0edd4e02811b2d051d3b460eb3f93c5a"),
+    "density": ({"head": "density"}, 260, "0ba4d9a4d4122a7df6733c5d9a1bad6d"),
+    "ablate_all": ({"ablate": ("ceb", "dab", "compops")}, 92, "539eee47efc1bac595022cbae5b549f2"),
+    "k_inf_32": ({"num_prototypes": INF_PROTOTYPES, "input_hw": (32, 32)}, 260,
+                 "3ef54e1a63cf9642799c2643531840e9"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(SEEDED_PARAM_DIGESTS))
+def test_seeded_parameters_are_pinned(label):
+    kw, count, digest = SEEDED_PARAM_DIGESTS[label]
+    m = BiSourceModel(ModelConfig(base_channels=8, **kw), seed=3)
+    h = hashlib.blake2b(digest_size=16)
+    for p in m.parameters():
+        a = p.value.data
+        h.update(p.name.encode())
+        h.update(str(a.shape).encode())
+        h.update(str(a.dtype).encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert len(m.parameters()) == count
+    assert h.hexdigest() == digest
 
 
 def test_model_config_json_round_trip():
