@@ -2,14 +2,20 @@
 
 Tensors are immutable numpy-backed values (float32 or float64, rank 1-4,
 row-major).  Every operation validates its output for NaN/Inf and, when a
-Tape is active in the calling thread, records a backward closure.
+Tape is active in the calling thread, records a backward closure.  The
+validation probes the output's sum of squares, which is finite only if every
+element is, and scans the elements only when the probe is not finite (a NaN
+or Inf, or finite values whose squares overflow), so it is exact.
+
 Live-element accounting for peak-memory measurement is kept in a
-process-global ``alloc_stats``.
+process-global ``alloc_stats``: a Tensor adds its size when created and
+subtracts it in ``__del__``.
 """
 
 from __future__ import annotations
 
-import weakref
+import math
+import sys
 from contextvars import ContextVar
 from typing import Callable, Iterable, Sequence
 
@@ -98,7 +104,7 @@ alloc_stats = AllocStats()
 class Tensor:
     """Immutable dense array value.  ``grad`` is populated only by backward()."""
 
-    __slots__ = ("data", "grad", "__weakref__")
+    __slots__ = ("data", "grad")
 
     def __init__(self, data: np.ndarray) -> None:
         if data.dtype not in (np.float32, np.float64):
@@ -108,7 +114,13 @@ class Tensor:
         self.data = np.ascontiguousarray(data)
         self.grad: np.ndarray | None = None
         alloc_stats.add(self.data.size)
-        weakref.finalize(self, alloc_stats.sub, self.data.size)
+
+    def __del__(self) -> None:
+        try:
+            n = self.data.size
+        except AttributeError:  # __init__ raised before counting this tensor
+            return
+        alloc_stats.sub(n)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -211,9 +223,17 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
+def _non_finite(op: str, data: np.ndarray) -> NumericalError:
+    return NumericalError(
+        f"{op}: produced non-finite values (output shape {data.shape}, dtype {data.dtype})"
+    )
+
+
 def _out(data: np.ndarray, fn: Callable[[np.ndarray], None] | None) -> Tensor:
-    if not np.isfinite(data).all():
-        raise NumericalError("operation produced non-finite values")
+    # np.vdot rather than np.dot: it ignores np.errstate, so a probe that
+    # overflows or underflows on finite data neither warns nor raises
+    if not math.isfinite(np.vdot(data, data)) and not np.isfinite(data).all():
+        raise _non_finite(sys._getframe(1).f_code.co_name, data)
     t = Tensor(data)
     tape = _active_tape.get()
     if tape is not None and fn is not None:
@@ -380,9 +400,9 @@ def gelu(x: Tensor) -> Tensor:
 
     def fn(g: np.ndarray) -> None:
         pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        _accum(x, (g * (cdf + x.data * pdf)).astype(x.data.dtype))
+        _accum(x, (g * (cdf + x.data * pdf)).astype(x.data.dtype, copy=False))
 
-    return _out((x.data * cdf).astype(x.data.dtype), fn)
+    return _out((x.data * cdf).astype(x.data.dtype, copy=False), fn)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -427,7 +447,7 @@ def attention_rows(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
         # after the max shift each row holds exp(0) = 1 and no entry above
         # it, so a row's probabilities are finite exactly when its sum is
         if not np.isfinite(total).all():
-            raise NumericalError("operation produced non-finite values")
+            raise _non_finite("attention_rows", out)
         z /= total
         np.matmul(z, v.data, out=out[start:stop])
     return _out(out, None)
@@ -463,10 +483,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     c = x.shape[-1]
     if gain.shape != (c,) or bias.shape != (c,):
         raise ShapeError(f"layer_norm: gain/bias must be ({c},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # the steps of np.mean and np.var, sharing the centred values: same bits
+    d = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / c
+    var = np.add.reduce(d * d, axis=-1, keepdims=True) / c
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x.data - mu) * inv
+    xhat = d * inv
 
     def fn(g: np.ndarray) -> None:
         flat_g = g.reshape(-1, c)
@@ -476,37 +497,47 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         gx = g * gain.data
         m1 = gx.mean(axis=-1, keepdims=True)
         m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, ((gx - m1 - xhat * m2) * inv).astype(x.data.dtype))
+        _accum(x, ((gx - m1 - xhat * m2) * inv).astype(x.data.dtype, copy=False))
 
-    return _out((xhat * gain.data + bias.data).astype(x.data.dtype), fn)
+    return _out((xhat * gain.data + bias.data).astype(x.data.dtype, copy=False), fn)
 
 
 def _box_sum(a: np.ndarray, window: int) -> np.ndarray:
-    """Sum over a window x window neighborhood, clipped at the borders (HWC)."""
+    """Sum over a window x window neighborhood, clipped at the borders (HWC).
+
+    ``s`` is the integral image of ``a`` zero-padded by r + 1 rows/columns
+    before and r after, so s[k] is the sum of a[:k - r] with k - r clipped to
+    [0, h]: pixel i's window sum is s[i + 2r + 1] - s[i] on each axis.
+    """
     h, w = a.shape[0], a.shape[1]
     r = window // 2
-    s = np.zeros((h + 1, w + 1) + a.shape[2:], dtype=np.float64)
-    np.cumsum(a, axis=0, out=s[1:, 1:])
-    np.cumsum(s[1:, 1:], axis=1, out=s[1:, 1:])
-    i = np.arange(h)
-    j = np.arange(w)
-    i0 = np.clip(i - r, 0, h)
-    i1 = np.clip(i + r + 1, 0, h)
-    j0 = np.clip(j - r, 0, w)
-    j1 = np.clip(j + r + 1, 0, w)
-    out = (
-        s[np.ix_(i1, j1)] - s[np.ix_(i0, j1)] - s[np.ix_(i1, j0)] + s[np.ix_(i0, j0)]
-    )
+    s = np.zeros((h + 2 * r + 1, w + 2 * r + 1) + a.shape[2:], dtype=np.float64)
+    s[r + 1 : r + 1 + h, r + 1 : r + 1 + w] = a
+    np.cumsum(s, axis=0, out=s)
+    np.cumsum(s, axis=1, out=s)
+    lo_i, hi_i = slice(0, h), slice(2 * r + 1, 2 * r + 1 + h)
+    lo_j, hi_j = slice(0, w), slice(2 * r + 1, 2 * r + 1 + w)
+    out = s[hi_i, hi_j] - s[lo_i, hi_j] - s[hi_i, lo_j] + s[lo_i, lo_j]
     return out.astype(a.dtype)
 
 
+_counts_cache: dict[tuple[int, int, int, str], np.ndarray] = {}
+
+
 def _valid_counts(h: int, w: int, window: int, dtype) -> np.ndarray:
-    r = window // 2
-    i = np.arange(h)
-    j = np.arange(w)
-    ci = np.clip(i + r + 1, 0, h) - np.clip(i - r, 0, h)
-    cj = np.clip(j + r + 1, 0, w) - np.clip(j - r, 0, w)
-    return (ci[:, None] * cj[None, :]).astype(dtype)
+    """Read-only [h, w] count of the in-bounds pixels of each window."""
+    key = (h, w, window, np.dtype(dtype).name)
+    counts = _counts_cache.get(key)
+    if counts is None:
+        r = window // 2
+        i = np.arange(h)
+        j = np.arange(w)
+        ci = np.clip(i + r + 1, 0, h) - np.clip(i - r, 0, h)
+        cj = np.clip(j + r + 1, 0, w) - np.clip(j - r, 0, w)
+        counts = (ci[:, None] * cj[None, :]).astype(dtype)
+        counts.flags.writeable = False
+        _counts_cache[key] = counts
+    return counts
 
 
 def avg_pool_2d(x: Tensor, window: int) -> Tensor:
@@ -646,7 +677,7 @@ def reshape(x: Tensor, shape: Iterable[int]) -> Tensor:
     def fn(g: np.ndarray) -> None:
         _accum(x, g.reshape(x.shape))
 
-    return _out(x.data.reshape(shape).copy(), fn)
+    return _out(x.data.reshape(shape), fn)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -30,6 +30,34 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return (x - mu) / np.sqrt(var + LN_EPS) * gain + bias
 
 
+def layer_norm_np_var(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """The tensor engine's layer_norm forward as written with np.mean/np.var;
+    its rewrite must reproduce these bits exactly."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    xhat = (x - mu) * (1.0 / np.sqrt(var + LN_EPS))
+    return (xhat * gain + bias).astype(x.dtype)
+
+
+def box_sum_ix(a: np.ndarray, window: int) -> np.ndarray:
+    """Window sums clipped at the borders (HWC), read from an unpadded float64
+    integral image at clipped corner indices with np.ix_; the tensor engine's
+    box sum must reproduce these bits exactly."""
+    h, w = a.shape[0], a.shape[1]
+    r = window // 2
+    s = np.zeros((h + 1, w + 1) + a.shape[2:], dtype=np.float64)
+    np.cumsum(a, axis=0, out=s[1:, 1:])
+    np.cumsum(s[1:, 1:], axis=1, out=s[1:, 1:])
+    i = np.arange(h)
+    j = np.arange(w)
+    i0 = np.clip(i - r, 0, h)
+    i1 = np.clip(i + r + 1, 0, h)
+    j0 = np.clip(j - r, 0, w)
+    j1 = np.clip(j + r + 1, 0, w)
+    out = s[np.ix_(i1, j1)] - s[np.ix_(i0, j1)] - s[np.ix_(i1, j0)] + s[np.ix_(i0, j0)]
+    return out.astype(a.dtype)
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 

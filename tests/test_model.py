@@ -1,5 +1,6 @@
 """End-to-end model tests: shapes, symmetry, losses, training, checkpoints."""
 
+import gc
 import hashlib
 import math
 import sys
@@ -19,7 +20,7 @@ from bisource import (
 )
 from bisource.ada import INF_PROTOTYPES
 from bisource.model import cosine_lr
-from bisource.tensor import Rng, Tape
+from bisource.tensor import NumericalError, Rng, Tape, alloc_stats
 from bisource.io import save_tensor_dir, load_tensor_dir
 
 
@@ -469,3 +470,30 @@ def test_tape_held_by_another_thread_neither_blocks_nor_records():
         assert held.result() == 0
     _assert_same_training(train, serial_train)
     _assert_same_predictions(pred, serial_pred)
+
+
+# -- live-element accounting and error context --------------------------------------
+
+
+def _live_elements_after(job) -> int:
+    gc.collect()
+    base = alloc_stats.current_elements
+    job()
+    gc.collect()
+    return alloc_stats.current_elements - base
+
+
+def test_live_elements_return_to_baseline():
+    assert _live_elements_after(lambda: _predict_run(2)) == 0
+    assert _live_elements_after(lambda: _train_run(2)) == 0
+    assert _live_elements_after(lambda: _in_threads(_predict_run, _predict_run, _predict_run)) == 0
+
+
+def test_nan_in_a_layer_norm_gain_names_the_op():
+    m = BiSourceModel(small_config(), seed=0)
+    gain = next(p for p in m.parameters() if p.name.endswith("ln_g"))
+    bad = gain.value.data.copy()
+    bad[0] = np.nan
+    gain.assign(bad)
+    with pytest.raises(NumericalError, match="layer_norm"):
+        m.predict(*rand_pair(Rng(5)))

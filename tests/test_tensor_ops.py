@@ -1,5 +1,7 @@
 """Tensor engine: forward examples, gradient checks, stability, file formats."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,51 @@ def test_avg_pool_matches_pixel_loop_oracle(window):
     x = rng.normal((6, 7, 3), dtype=F64)
     out = T.avg_pool_2d(Tensor(x), window).data
     np.testing.assert_allclose(out, oracles.avg_pool_loops(x, window), atol=1e-12)
+
+
+BIT_GRIDS = [(1, 1, 1), (2, 2, 128), (3, 7, 2), (16, 16, 16), (64, 64, 16)]
+
+
+def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _grid(shape, dtype) -> np.ndarray:
+    x = Rng(int(np.prod(shape))).normal(shape, dtype=dtype)
+    x.reshape(-1)[::7] = 0.0
+    x.reshape(-1)[3::11] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+@pytest.mark.parametrize("shape", BIT_GRIDS, ids=lambda s: "x".join(map(str, s)))
+def test_box_sum_and_layer_norm_bits_match_their_references(shape, dtype):
+    x = _grid(shape, dtype)
+    for window in (3, 5):
+        sums = oracles.box_sum_ix(x, window)
+        _assert_same_bits(T._box_sum(x, window), sums)
+        counts = T._valid_counts(*shape[:2], window, dtype)[:, :, None]
+        _assert_same_bits(T.avg_pool_2d(Tensor(x), window).data, sums / counts)
+    c = shape[-1]
+    gain = Rng(1).normal((c,), dtype=dtype)
+    bias = Rng(2).normal((c,), dtype=dtype)
+    got = T.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
+    _assert_same_bits(got, oracles.layer_norm_np_var(x, gain, bias))
+
+
+def test_valid_counts_are_cached_read_only():
+    counts = T._valid_counts(4, 6, 3, np.float32)
+    assert T._valid_counts(4, 6, 3, np.float32) is counts
+    assert not counts.flags.writeable
+    assert counts[0, 0] == 4 and counts[1, 1] == 9
+
+
+def test_reshape_is_a_view():
+    x = Tensor(Rng(3).normal((5, 6), dtype=F64))
+    y = T.reshape(x, (6, 5))
+    assert np.shares_memory(y.data, x.data)
+    np.testing.assert_array_equal(y.data, x.data.reshape(6, 5))
 
 
 def test_elementwise_examples():
@@ -437,6 +484,35 @@ def test_overflow_surfaces_as_error():
         T.mul(big, big)
 
 
+PROBE_SHAPES = [(1,), (64, 16), (4096, 16)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+def test_non_finite_output_raises_wherever_it_sits(dtype, bad):
+    for shape in PROBE_SHAPES:
+        n = int(np.prod(shape))
+        for pos in sorted({0, n // 2, n - 1}):
+            x = np.ones(shape, dtype=dtype)
+            x.reshape(-1)[pos] = bad
+            with pytest.raises(NumericalError, match="mul_scalar") as info:
+                T.mul_scalar(Tensor(x), 1.0)
+            assert f"shape {shape}" in str(info.value)
+            assert np.dtype(dtype).name in str(info.value)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dtype, big, tiny", [(np.float32, 1e20, 1e-30), (F64, 1e200, 1e-200)])
+def test_finite_values_that_overflow_or_underflow_the_probe_pass(dtype, big, tiny):
+    for shape in PROBE_SHAPES:
+        for value in (big, tiny):
+            x = np.full(shape, value, dtype=dtype)
+            x.reshape(-1)[0] = -value
+            with np.errstate(all="raise"):  # the op itself is exact
+                out = T.mul_scalar(Tensor(x), 1.0).data
+            np.testing.assert_array_equal(out, x)
+
+
 def test_rng_determinism_across_instances():
     a = Rng(123)
     b = Rng(123)
@@ -453,8 +529,6 @@ def test_op_determinism_bitwise():
 
 
 def test_alloc_stats_tracks_and_resets_peak():
-    import gc
-
     gc.collect()
     alloc_stats.reset_peak()
     base = alloc_stats.peak_elements
@@ -467,9 +541,12 @@ def test_alloc_stats_tracks_and_resets_peak():
     assert alloc_stats.peak_elements <= base
 
 
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 def test_tensor_rank_and_dtype_validation():
+    # the half-built tensor's __del__ runs here and must not raise
     with pytest.raises(TypeError):
         Tensor(np.zeros((2, 2), dtype=np.int64))
+    gc.collect()
     with pytest.raises(ShapeError):
         Tensor(np.zeros((2, 2, 2, 2, 2), dtype=np.float32))
 
