@@ -254,7 +254,7 @@ class BiSourceModel:
 
     def predict(self, img1: np.ndarray, img2: np.ndarray) -> np.ndarray:
         """Inference: binary -> {0,1} mask, multiclass -> class map, density -> map."""
-        out = self.forward(self._as_input(img1), self._as_input(img2)).data
+        out = self.forward(*self._checked_inputs(img1, img2)).data
         if self.config.head == "binary":
             return (out[..., 0] > 0.0).astype(np.uint8)
         if self.config.head == "multiclass":
@@ -262,7 +262,7 @@ class BiSourceModel:
         return out[..., 0]
 
     def predict_scores(self, img1: np.ndarray, img2: np.ndarray) -> np.ndarray:
-        out = self.forward(self._as_input(img1), self._as_input(img2)).data
+        out = self.forward(*self._checked_inputs(img1, img2)).data
         if self.config.head == "binary":
             return 1.0 / (1.0 + np.exp(-out[..., 0]))
         return out
@@ -271,6 +271,33 @@ class BiSourceModel:
         if img.ndim == 2:
             img = img[:, :, None]
         return Tensor(np.ascontiguousarray(img, dtype=self.dtype))
+
+    def _checked_inputs(self, img1: np.ndarray, img2: np.ndarray) -> tuple[Tensor, Tensor]:
+        """The pair as [H, W, C] inputs, or one error that names the bad image.
+
+        Each image is [H, W] or [H, W, in_channels] with H and W positive
+        multiples of DIVISOR, both have the same extents, and every value is
+        finite in the model's dtype.
+        """
+        names = ("img1", "img2")
+        imgs = (np.asarray(img1), np.asarray(img2))
+        c = self.config.in_channels
+        for name, img in zip(names, imgs):
+            hw, channels = img.shape[:2], img.shape[2:] or (1,)
+            if (img.ndim not in (2, 3) or channels != (c,)
+                    or not all(n > 0 and n % DIVISOR == 0 for n in hw)):
+                raise T.ShapeError(
+                    f"{name}: shape {img.shape}; expected [H, W] or [H, W, {c}] "
+                    f"with H and W positive multiples of {DIVISOR}"
+                )
+        if imgs[0].shape[:2] != imgs[1].shape[:2]:
+            raise T.ShapeError(f"img2: shape {imgs[1].shape} differs from img1's {imgs[0].shape}")
+        with np.errstate(over="ignore"):  # a value cast to Inf is reported below
+            inputs = (self._as_input(imgs[0]), self._as_input(imgs[1]))
+        for name, x in zip(names, inputs):
+            if not T.all_finite(x.data):
+                raise ValueError(f"{name}: NaN or Inf in the image (as {x.dtype})")
+        return inputs
 
     # -- loss / training ------------------------------------------------------
 
@@ -292,7 +319,7 @@ class BiSourceModel:
         return T.add(mse, T.mul_scalar(count_err, self.config.count_loss_weight))
 
     def sample_loss(self, img1: np.ndarray, img2: np.ndarray, target: np.ndarray) -> Tensor:
-        return self.loss(self.forward(self._as_input(img1), self._as_input(img2)), target)
+        return self.loss(self.forward(*self._checked_inputs(img1, img2)), target)
 
     def parameters(self) -> list[Parameter]:
         return self.registry.all()

@@ -10,14 +10,25 @@ or Inf, or finite values whose squares overflow), so it is exact.
 Live-element accounting for peak-memory measurement is kept in a
 process-global ``alloc_stats``: a Tensor adds its size when created and
 subtracts it in ``__del__``.
+
+Untaped ``attention_rows`` calls with more than two blocks of query rows
+share the blocks between the calling thread and one helper thread, started
+on first use, when the process may run on two or more CPUs.  The helper runs
+numpy only: it creates no Tensor, calls no public op and records nothing, so
+``alloc_stats``, the Tape and anything that wraps the public ops see the
+call from the calling thread alone.  Blocks are the same with one CPU or
+two, so the output bits are too.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -65,10 +76,45 @@ __all__ = [
 
 NORM_EPS = 1e-8
 LN_EPS = 1e-5
-# Query rows per score block in untaped attention_rows.  A 4096-token call at
-# d = 16 (float32, one BLAS thread) took 66 ms at 128-256 rows, 76-82 ms at
-# 64, 512 and 1024, 129 ms in one block and 190 ms as the five-op chain.
-ATTN_ROW_BLOCK = 256
+# Query rows per score block in untaped attention_rows; with at most two
+# blocks in flight, live scores stay within 256 x N.  On a 2-vCPU VM (float32,
+# d = 16, one BLAS thread per thread) a 4096-token call took 66 ms on one
+# thread at 128-256 rows, 76-82 ms at 64, 512 and 1024, 129 ms in one block
+# and 190 ms as the five-op chain, and 69 ms on one thread against 38 ms
+# shared with the helper at 128 rows.  A 256-token call took 363 us on one
+# thread and 430 us on two, so calls of two blocks or fewer stay on the caller.
+ATTN_ROW_BLOCK = 128
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+_CPUS = _usable_cpus()
+_helper: ThreadPoolExecutor | None = None
+_helper_lock = threading.Lock()
+
+
+def _attention_helper() -> ThreadPoolExecutor:
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            _helper = ThreadPoolExecutor(1, thread_name_prefix="bisource-attn")
+        return _helper
+
+
+def _forget_attention_helper() -> None:
+    # a forked child has no helper thread; work queued on the parent's pool
+    # would never run there, so the child starts its own
+    global _helper, _helper_lock
+    _helper = None
+    _helper_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_attention_helper)
 
 
 class NumericalError(ValueError):
@@ -229,10 +275,16 @@ def _non_finite(op: str, data: np.ndarray) -> NumericalError:
     )
 
 
-def _out(data: np.ndarray, fn: Callable[[np.ndarray], None] | None) -> Tensor:
+def all_finite(data: np.ndarray) -> bool:
+    """True when no element is NaN or Inf: the sum-of-squares probe, with an
+    element scan only when the probe is not finite."""
     # np.vdot rather than np.dot: it ignores np.errstate, so a probe that
     # overflows or underflows on finite data neither warns nor raises
-    if not math.isfinite(np.vdot(data, data)) and not np.isfinite(data).all():
+    return math.isfinite(np.vdot(data, data)) or bool(np.isfinite(data).all())
+
+
+def _out(data: np.ndarray, fn: Callable[[np.ndarray], None] | None) -> Tensor:
+    if not all_finite(data):
         raise _non_finite(sys._getframe(1).f_code.co_name, data)
     t = Tensor(data)
     tape = _active_tape.get()
@@ -426,9 +478,10 @@ def attention_rows(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     With a Tape active this is the chain matmul, transpose, mul_scalar,
     softmax_rows, matmul, so outputs, gradients and tape records are those of
     the five ops.  Without one, ``scale`` is folded into q and the scores are
-    built ATTN_ROW_BLOCK query rows at a time.  Every block sees every key, so
-    each row's softmax is exact, and no more than ATTN_ROW_BLOCK x N scores
-    are held at once.
+    built ATTN_ROW_BLOCK query rows at a time, by this thread and, for more
+    than two blocks on two or more CPUs, the helper thread.  Every block sees
+    every key, so each row's softmax is exact, and no more than
+    2 x ATTN_ROW_BLOCK x N scores are held at once.
     """
     if (q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2
             or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]):
@@ -438,19 +491,45 @@ def attention_rows(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     qs = q.data * float(scale)
     kt = k.data.T
     out = np.empty((q.shape[0], v.shape[1]), dtype=np.result_type(qs, kt, v.data))
-    for start in range(0, q.shape[0], ATTN_ROW_BLOCK):
-        stop = start + ATTN_ROW_BLOCK
-        z = qs[start:stop] @ kt
+    n_blocks = -(-q.shape[0] // ATTN_ROW_BLOCK)
+    threads = 2 if n_blocks > 2 and _CPUS >= 2 else 1
+    bufs = np.empty((threads, min(ATTN_ROW_BLOCK, q.shape[0]), k.shape[0]),
+                    dtype=np.result_type(qs, kt))
+    # shared by both threads: each next() claims one block, atomically under the GIL
+    blocks = iter(range(n_blocks))
+    helper = None
+    if threads == 2:
+        helper = _attention_helper().submit(
+            _attention_blocks, qs, kt, v.data, out, blocks, bufs[1])
+    try:
+        _attention_blocks(qs, kt, v.data, out, blocks, bufs[0])
+    finally:
+        # never return or raise while the helper may still write `out`; a
+        # helper that has not started yet is cancelled rather than awaited
+        if helper is not None and not helper.cancel():
+            helper.result()
+    return _out(out, None)
+
+
+def _attention_blocks(qs: np.ndarray, kt: np.ndarray, v: np.ndarray, out: np.ndarray,
+                      blocks: Iterator[int], buf: np.ndarray) -> None:
+    """Fill the blocks of ``out`` that this thread takes from ``blocks`` (numpy only)."""
+    for i in blocks:
+        start = i * ATTN_ROW_BLOCK
+        rows = qs[start : start + ATTN_ROW_BLOCK]
+        z = buf[: rows.shape[0]]
+        np.matmul(rows, kt, out=z)
         z -= z.max(axis=1, keepdims=True)
         np.exp(z, out=z)
         total = z.sum(axis=1, keepdims=True)
         # after the max shift each row holds exp(0) = 1 and no entry above
         # it, so a row's probabilities are finite exactly when its sum is
         if not np.isfinite(total).all():
+            for _ in blocks:  # take the rest, so that the other thread stops too
+                pass
             raise _non_finite("attention_rows", out)
         z /= total
-        np.matmul(z, v.data, out=out[start:stop])
-    return _out(out, None)
+        np.matmul(z, v, out=out[start : start + rows.shape[0]])
 
 
 def cosine_rows(q: Tensor, k: Tensor) -> Tensor:

@@ -5,10 +5,12 @@ import hashlib
 import math
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bisource import (
     AdamW,
@@ -20,7 +22,8 @@ from bisource import (
 )
 from bisource.ada import INF_PROTOTYPES
 from bisource.model import cosine_lr
-from bisource.tensor import NumericalError, Rng, Tape, alloc_stats
+from bisource import tensor as T
+from bisource.tensor import NumericalError, Rng, ShapeError, Tape, alloc_stats
 from bisource.io import save_tensor_dir, load_tensor_dir
 
 
@@ -483,10 +486,18 @@ def _live_elements_after(job) -> int:
     return alloc_stats.current_elements - base
 
 
-def test_live_elements_return_to_baseline():
+def _density_predict_256():
+    # stage 1 attends over 64 x 64 = 4096 tokens: blocks shared with the helper
+    m = BiSourceModel(small_config(head="density", input_hw=(256, 256)), seed=2)
+    return m.predict(*rand_pair(Rng(33), (256, 256)))
+
+
+def test_live_elements_return_to_baseline(monkeypatch):
+    monkeypatch.setattr(T, "_CPUS", 2)
     assert _live_elements_after(lambda: _predict_run(2)) == 0
     assert _live_elements_after(lambda: _train_run(2)) == 0
     assert _live_elements_after(lambda: _in_threads(_predict_run, _predict_run, _predict_run)) == 0
+    assert _live_elements_after(_density_predict_256) == 0
 
 
 def test_nan_in_a_layer_norm_gain_names_the_op():
@@ -497,3 +508,57 @@ def test_nan_in_a_layer_norm_gain_names_the_op():
     gain.assign(bad)
     with pytest.raises(NumericalError, match="layer_norm"):
         m.predict(*rand_pair(Rng(5)))
+
+
+# -- entry-point input checks -------------------------------------------------------
+
+
+ENTRY_MODEL = BiSourceModel(small_config(), seed=0)  # 32 x 32, one channel
+GOOD = np.zeros((32, 32), dtype=np.float32)
+
+
+def _entry_points(m):
+    target = np.zeros((32, 32), dtype=np.float32)
+    return {
+        "predict": m.predict,
+        "predict_scores": m.predict_scores,
+        "sample_loss": lambda a, b: m.sample_loss(a, b, target),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.lists(st.sampled_from([0, 1, 2, 8, 31, 32, 33, 64]), min_size=1, max_size=4),
+    which=st.sampled_from(["img1", "img2"]),
+    entry=st.sampled_from(["predict", "predict_scores", "sample_loss"]),
+)
+def test_bad_shape_raises_one_shape_error_naming_the_image(shape, which, entry):
+    shape = tuple(shape)
+    assume(shape not in ((32, 32), (32, 32, 1)))  # the same input as GOOD
+    bad = np.zeros(shape, dtype=np.float32)
+    pair = (bad, GOOD) if which == "img1" else (GOOD, bad)
+    with pytest.raises(ShapeError) as exc:
+        _entry_points(ENTRY_MODEL)[entry](*pair)
+    assert which in str(exc.value) and str(shape) in str(exc.value)
+
+
+@pytest.mark.parametrize("entry", ["predict", "predict_scores", "sample_loss"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39])  # 1e39 overflows float32
+@pytest.mark.parametrize("which", ["img1", "img2"])
+def test_non_finite_image_raises_one_value_error_naming_it(entry, value, which):
+    bad = GOOD.astype(np.float64)
+    bad[7, 19] = value
+    pair = (bad, GOOD) if which == "img1" else (GOOD, bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error alone reports the value
+        with pytest.raises(ValueError) as exc:
+            _entry_points(ENTRY_MODEL)[entry](*pair)
+    assert type(exc.value) is ValueError
+    assert str(exc.value).startswith(f"{which}: ")
+
+
+def test_rank_two_and_single_channel_images_are_the_same_input():
+    rng = Rng(34)
+    i1, i2 = rand_pair(rng)
+    want = ENTRY_MODEL.predict_scores(i1, i2)
+    np.testing.assert_array_equal(ENTRY_MODEL.predict_scores(i1[:, :, None], i2), want)

@@ -1,6 +1,9 @@
 """Tensor engine: forward examples, gradient checks, stability, file formats."""
 
 import gc
+import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from bisource.tensor import (
 )
 
 import oracles
+from test_model import _in_threads
 
 
 F64 = np.float64
@@ -456,7 +460,7 @@ def test_attention_rows_untaped_float32_matches_taped(rows):
 def test_attention_rows_nan_in_q_raises_on_both_paths():
     q, k, v = _qkv(300, 8, np.float32)
     bad = q.data.copy()
-    bad[270, 3] = np.nan  # second block
+    bad[270, 3] = np.nan  # third block, the last
     with pytest.raises(NumericalError):
         T.attention_rows(Tensor(bad), k, v, 0.25)
     with Tape(), pytest.raises(NumericalError):
@@ -471,6 +475,137 @@ def test_attention_rows_shape_errors():
         T.attention_rows(q, k, T.slice_rows(v, 0, 10), 1.0)  # k/v rows
     with pytest.raises(ShapeError):
         T.attention_rows(T.reshape(q, (4, 2, 4)), k, v, 1.0)  # rank 3
+
+
+# ---------------------------------------------------------------------------
+# attention_rows: blocks shared with the helper thread
+# ---------------------------------------------------------------------------
+
+
+PARALLEL_ROWS = [1, 127, 128, 129, 256, 257, 385, 1024, 4096]
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(T, "_CPUS", 2)
+
+
+def _attention_bytes(rows: int, dtype) -> bytes:
+    q, k, v = _qkv(rows, 16, dtype)
+    return T.attention_rows(q, k, v, 0.3).data.tobytes()
+
+
+def _assert_helper_idle() -> None:
+    # the helper takes work in order, so once a no-op has run nothing is queued
+    pool = T._attention_helper()
+    pool.submit(lambda: None).result(timeout=60)
+    assert pool._work_queue.empty()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+@pytest.mark.parametrize("rows", PARALLEL_ROWS)
+def test_attention_rows_same_bytes_on_one_cpu_or_two(monkeypatch, rows, dtype):
+    monkeypatch.setattr(T, "_CPUS", 1)
+    one = _attention_bytes(rows, dtype)
+    monkeypatch.setattr(T, "_CPUS", 2)
+    assert _attention_bytes(rows, dtype) == one
+
+
+def test_attention_rows_threads_claim_every_block_once(monkeypatch, two_cpus):
+    claimed: list[tuple[str, int]] = []
+    run_blocks = T._attention_blocks
+
+    def spy(qs, kt, v, out, blocks, buf):
+        def counted():
+            for i in blocks:
+                claimed.append((threading.current_thread().name, i))
+                yield i
+
+        run_blocks(qs, kt, v, out, counted(), buf)
+
+    monkeypatch.setattr(T, "_attention_blocks", spy)
+    blocks = 4096 // T.ATTN_ROW_BLOCK
+    helper_blocks = 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the two threads' claims finely
+    try:
+        for _ in range(5):
+            claimed.clear()
+            _attention_bytes(4096, np.float32)
+            assert sorted(i for _, i in claimed) == list(range(blocks))
+            names = {name for name, _ in claimed}
+            assert names <= {threading.current_thread().name, "bisource-attn_0"}
+            helper_blocks += sum(name == "bisource-attn_0" for name, _ in claimed)
+    finally:
+        sys.setswitchinterval(interval)
+    assert helper_blocks > 0
+
+
+def test_attention_rows_helper_starts_only_beyond_two_blocks_on_two_cpus(monkeypatch):
+    monkeypatch.setattr(T, "_helper", None)
+    monkeypatch.setattr(T, "_CPUS", 1)
+    _attention_bytes(4096, np.float32)
+    monkeypatch.setattr(T, "_CPUS", 2)
+    _attention_bytes(2 * T.ATTN_ROW_BLOCK, np.float32)
+    assert T._helper is None
+    _attention_bytes(2 * T.ATTN_ROW_BLOCK + 1, np.float32)
+    assert T._helper is not None
+    T._helper.shutdown()
+
+
+@pytest.mark.parametrize("row", [0, 4095])  # first and last block
+def test_attention_rows_nan_in_a_parallel_call_reaches_the_caller(two_cpus, row):
+    q, k, v = _qkv(4096, 16, np.float32)
+    bad = q.data.copy()
+    bad[row, 5] = np.nan
+    with pytest.raises(NumericalError, match="attention_rows"):
+        T.attention_rows(Tensor(bad), k, v, 0.3)
+    want = T.attention_rows(q, k, v, 0.3).data
+    _assert_helper_idle()
+    np.testing.assert_array_equal(T.attention_rows(q, k, v, 0.3).data, want)
+
+
+def test_attention_rows_concurrent_callers_share_the_helper(two_cpus):
+    serial = _attention_bytes(4096, np.float32)
+    jobs = [lambda: _attention_bytes(4096, np.float32)] * 3
+    assert _in_threads(*jobs) == [serial] * 3
+    _assert_helper_idle()
+
+
+def _fork_child(conn) -> None:
+    conn.send((T._helper is None, _attention_bytes(4096, np.float32)))
+    conn.close()
+
+
+def test_attention_rows_in_a_forked_child_after_the_helper_started(two_cpus):
+    want = _attention_bytes(4096, np.float32)  # starts the helper
+    assert T._helper is not None
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_fork_child, args=(send,))
+    child.start()
+    send.close()
+    try:
+        assert recv.poll(timeout=120), "the child sent nothing"
+        forgotten, got = recv.recv()
+    finally:
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+    assert not child.is_alive() and child.exitcode == 0
+    assert forgotten
+    assert got == want
+
+
+def test_attention_rows_parallel_call_counts_only_its_output(two_cpus):
+    q, k, v = _qkv(4096, 16, np.float32)
+    gc.collect()
+    base = alloc_stats.current_elements
+    out = T.attention_rows(q, k, v, 0.3)
+    assert alloc_stats.current_elements == base + out.data.size
+    del out
+    gc.collect()
+    assert alloc_stats.current_elements == base
 
 
 # ---------------------------------------------------------------------------
