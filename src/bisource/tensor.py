@@ -86,14 +86,10 @@ LN_EPS = 1e-5
 ATTN_ROW_BLOCK = 128
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-_CPUS = _usable_cpus()
+try:
+    _CPUS = len(os.sched_getaffinity(0))  # the CPUs this process may run on
+except AttributeError:  # platforms without CPU affinity
+    _CPUS = os.cpu_count() or 1
 _helper: ThreadPoolExecutor | None = None
 _helper_lock = threading.Lock()
 
