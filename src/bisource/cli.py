@@ -139,9 +139,13 @@ def _save_checkpoint(path: Path, model: BiSourceModel) -> None:
 
 
 def load_checkpoint(path: str | Path) -> BiSourceModel:
-    arrays, manifest = load_tensor_dir(path)
-    model = BiSourceModel(ModelConfig.from_json(manifest["model_config"]),
-                          seed=int(manifest.get("seed", 0)))
+    """Rebuild the model a checkpoint holds, in the dtype of its parameters."""
+    arrays, header = load_tensor_dir(path)
+    dtypes = {a.dtype for a in arrays.values()}
+    if len(dtypes) != 1:
+        raise ValueError(f"{path}: checkpoint parameters need one dtype, found {sorted(map(str, dtypes))}")
+    model = BiSourceModel(ModelConfig.from_json(header["model_config"]),
+                          seed=int(header.get("seed", 0)), dtype=dtypes.pop().type)
     model.load_state(arrays)
     return model
 

@@ -1,12 +1,22 @@
-"""File formats: CPT1 binary tensors, 8-bit P5 PGM images, JSON manifests.
+"""File formats: CPT1 binary tensors, 8-bit P5 PGM images, JSON manifests,
+one-file checkpoints.
 
 CPT1 layout: magic ``CPT1``, 1-byte dtype code (0=f32, 1=f64), 1-byte rank,
 rank x 8-byte little-endian unsigned extents, row-major little-endian payload.
 Round-trips are bit-exact.
+
+Checkpoint layout (``checkpoint.bin``, after the safetensors layout): magic
+``BSCKPT01``; the header's length as a little-endian u64; the JSON header,
+space-padded so the buffer starts on a 64-byte boundary, which maps
+``tensors`` to each name's ``dtype`` (``<f4``/``<f8``), ``shape`` (rank 1-4)
+and byte ``offset``, beside the caller's extra keys; one buffer holding every
+tensor's CPT1-style payload in name order, without gaps; the SHA-256 digest of
+everything before it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -19,20 +29,31 @@ MAGIC = b"CPT1"
 _DTYPE_CODE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
+CHECKPOINT = "checkpoint.bin"
+CHECKPOINT_MAGIC = b"BSCKPT01"
+_PREFIX = len(CHECKPOINT_MAGIC) + 8
+_DIGEST = hashlib.sha256().digest_size
+_CHUNK = 1 << 16
 
-def save_cpt1(path: str | Path, arr: np.ndarray) -> None:
+
+def _storable(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as the contiguous little-endian array CPT1 and checkpoints store."""
     arr = np.ascontiguousarray(arr)
-    code = _DTYPE_CODE.get(arr.dtype)
-    if code is None:
+    if arr.dtype not in _DTYPE_CODE:
         raise TypeError(f"CPT1 stores float32/float64 only, got {arr.dtype}")
     if not (1 <= arr.ndim <= 4):
         raise ValueError(f"CPT1 stores rank 1-4, got {arr.ndim}")
+    return arr.astype(arr.dtype.newbyteorder("<"), copy=False)
+
+
+def save_cpt1(path: str | Path, arr: np.ndarray) -> None:
+    arr = _storable(arr)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<BB", code, arr.ndim))
+        fh.write(struct.pack("<BB", _DTYPE_CODE[arr.dtype], arr.ndim))
         for ext in arr.shape:
             fh.write(struct.pack("<Q", ext))
-        fh.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
+        fh.write(arr.tobytes())
 
 
 def load_cpt1(path: str | Path) -> np.ndarray:
@@ -96,6 +117,10 @@ def read_pgm(path: str | Path) -> np.ndarray:
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
+        if start == pos:
+            raise ValueError(f"{path}: truncated PGM header")
+        if not data[start:pos].isdigit():
+            raise ValueError(f"{path}: non-numeric PGM header")
         tokens.append(int(data[start:pos]))
     pos += 1  # single whitespace after maxval
     w, h, maxval = tokens
@@ -119,29 +144,93 @@ def load_json(path: str | Path):
 
 
 def save_tensor_dir(dirpath: str | Path, tensors: dict[str, np.ndarray], extra: dict | None = None) -> None:
-    """Directory of CPT1 files plus a manifest mapping name -> file/shape/dtype."""
+    """Write ``dirpath/checkpoint.bin`` holding ``tensors`` and the keys of
+    ``extra``.  The file is written beside it and renamed into place, so a
+    crash mid-save leaves the previous checkpoint whole."""
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
-    entries = {}
-    for idx, (name, arr) in enumerate(sorted(tensors.items())):
-        fname = f"t{idx:04d}.cpt1"
-        save_cpt1(dirpath / fname, arr)
-        entries[name] = {
-            "file": fname,
-            "shape": list(arr.shape),
-            "dtype": "f32" if arr.dtype == np.float32 else "f64",
-        }
-    manifest = {"tensors": entries}
-    if extra:
-        manifest.update(extra)
-    save_json(dirpath / "manifest.json", manifest)
+    arrays = {name: _storable(arr) for name, arr in sorted(tensors.items())}
+    entries, offset = {}, 0
+    for name, arr in arrays.items():
+        entries[name] = {"dtype": arr.dtype.str, "shape": list(arr.shape), "offset": offset}
+        offset += arr.nbytes
+    header = json.dumps({**(extra or {}), "tensors": entries}, sort_keys=True).encode()
+    header += b" " * (-(_PREFIX + len(header)) % 64)
+    tmp = dirpath / (CHECKPOINT + ".tmp")
+    digest = hashlib.sha256()
+    with open(tmp, "wb") as fh:
+        for chunk in (CHECKPOINT_MAGIC, struct.pack("<Q", len(header)), header, *arrays.values()):
+            digest.update(chunk)
+            fh.write(chunk)
+        fh.write(digest.digest())
+    os.replace(tmp, dirpath / CHECKPOINT)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        raise ValueError("a JSON object repeats a key")
+    return out
 
 
 def load_tensor_dir(dirpath: str | Path) -> tuple[dict[str, np.ndarray], dict]:
+    """Read ``dirpath/checkpoint.bin``: the tensors, as read-only
+    ``np.frombuffer`` arrays, and the JSON header.  Checks the magic, the
+    header length, the digest, then each entry; any failure raises one
+    ``ValueError`` naming the file.  The digest is checked in 64 KiB chunks
+    before the tensors are read one by one, so the file is never held whole.
+    """
     dirpath = Path(dirpath)
-    manifest = load_json(dirpath / "manifest.json")
-    tensors = {
-        name: load_cpt1(dirpath / entry["file"])
-        for name, entry in manifest["tensors"].items()
-    }
-    return tensors, manifest
+    path = dirpath / CHECKPOINT
+    if not path.exists() and (dirpath / "manifest.json").exists():
+        raise ValueError(f"{dirpath}: old checkpoint format (manifest.json and one CPT1 file "
+                         f"per tensor) is not read; save the model again")
+
+    def bad(problem: str) -> ValueError:
+        return ValueError(f"{path}: {problem}")
+
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(_PREFIX)
+        if prefix[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+            raise bad("bad magic: not a checkpoint file")
+        n = int.from_bytes(prefix[len(CHECKPOINT_MAGIC) :], "little")
+        if n > size - _PREFIX - _DIGEST:
+            raise bad(f"header length {n} does not fit in a {size}-byte file")
+        digest = hashlib.sha256(prefix)
+        for start in range(_PREFIX, size - _DIGEST, _CHUNK):
+            digest.update(fh.read(min(_CHUNK, size - _DIGEST - start)))
+        if digest.digest() != fh.read(_DIGEST):
+            raise bad("digest mismatch: the file is corrupt")
+        fh.seek(_PREFIX)
+        try:
+            header = json.loads(fh.read(n), object_pairs_hook=_unique_keys)
+        except ValueError as exc:
+            raise bad(f"unreadable header: {exc}") from None
+        table = header.get("tensors") if isinstance(header, dict) else None
+        if not isinstance(table, dict):
+            raise bad("header holds no tensor table")
+
+        buffer_size = size - _PREFIX - n - _DIGEST
+        tensors, covered = {}, 0
+        for name in sorted(table):
+            entry = table[name]
+            if not (isinstance(entry, dict) and set(entry) == {"dtype", "shape", "offset"}):
+                raise bad(f"tensor {name!r}: entry {entry!r} is not {{dtype, shape, offset}}")
+            dtype, shape = entry["dtype"], entry["shape"]
+            if dtype not in ("<f4", "<f8"):
+                raise bad(f"tensor {name!r}: dtype {dtype!r} is not <f4 or <f8")
+            if not (isinstance(shape, list) and 1 <= len(shape) <= 4
+                    and all(type(x) is int and x >= 0 for x in shape)):
+                raise bad(f"tensor {name!r}: shape {shape!r} is not 1-4 non-negative extents")
+            if entry["offset"] != covered:
+                raise bad(f"tensor {name!r}: offset {entry['offset']!r} is not {covered}, "
+                          f"where the tensor before it in name order ends")
+            nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+            if covered + nbytes > buffer_size:
+                raise bad(f"tensor {name!r}: ends at byte {covered + nbytes} of a {buffer_size}-byte buffer")
+            tensors[name] = np.frombuffer(fh.read(nbytes), dtype=dtype).reshape(shape)
+            covered += nbytes
+    if covered != buffer_size:
+        raise bad(f"tensors cover {covered} of the buffer's {buffer_size} bytes")
+    return tensors, header

@@ -395,13 +395,6 @@ class AdamW:
             data -= self.lr * self.weight_decay * data
             data -= self.lr * update.astype(data.dtype)
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name in self.m:
-            out[f"adamw.m.{name}"] = self.m[name]
-            out[f"adamw.v.{name}"] = self.v[name]
-        return out
-
 
 def train_step(model: BiSourceModel, batch: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
                optimizer: AdamW) -> float:

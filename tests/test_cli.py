@@ -90,7 +90,7 @@ def test_train_writes_loss_log_and_is_deterministic(tmp_path):
                      "--out", str(ckpt), "--epochs", "1", "--channels", "4",
                      "--k", "2", "--batch-size", "2", "--seed", "3")
         assert rc == 0
-        assert (ckpt / "loss.csv").exists()
+        assert sorted(f.name for f in ckpt.iterdir()) == ["checkpoint.bin", "loss.csv"]
         arrays, _ = load_tensor_dir(ckpt)
         outs.append(arrays)
     for name in outs[0]:

@@ -24,6 +24,7 @@ from bisource.ada import INF_PROTOTYPES
 from bisource.model import cosine_lr
 from bisource import tensor as T
 from bisource.tensor import NumericalError, Rng, ShapeError, Tape, alloc_stats
+from bisource.cli import _save_checkpoint, load_checkpoint
 from bisource.io import save_tensor_dir, load_tensor_dir
 
 
@@ -312,6 +313,16 @@ def test_checkpoint_round_trip(tmp_path):
     m2 = BiSourceModel(ModelConfig.from_json(manifest["model_config"]), seed=0)
     m2.load_state(arrays)
     np.testing.assert_array_equal(m.predict(i1, i2), m2.predict(i1, i2))
+
+
+def test_float64_checkpoint_loads_as_float64(tmp_path):
+    m = BiSourceModel(small_config(), seed=0, dtype=np.float64)
+    _save_checkpoint(tmp_path / "ckpt", m)
+    m2 = load_checkpoint(tmp_path / "ckpt")
+    assert {p.value.data.dtype for p in m2.parameters()} == {np.dtype(np.float64)}
+    i1, i2 = rand_pair(Rng(18))
+    assert m.predict_scores(i1, i2).tobytes() == m2.predict_scores(i1, i2).tobytes()
+    assert m.predict(i1, i2).tobytes() == m2.predict(i1, i2).tobytes()
 
 
 def test_load_state_missing_param_raises():

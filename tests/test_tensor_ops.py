@@ -1,16 +1,22 @@
 """Tensor engine: forward examples, gradient checks, stability, file formats."""
 
 import gc
+import hashlib
+import json
+import math
 import multiprocessing
+import re
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from bisource import io
 from bisource import tensor as T
 from bisource.gradcheck import grad_check
-from bisource.io import load_cpt1, read_pgm, save_cpt1, write_pgm
+from bisource.io import load_cpt1, load_tensor_dir, read_pgm, save_cpt1, save_tensor_dir, write_pgm
 from bisource.tensor import (
     NumericalError,
     Parameter,
@@ -744,3 +750,153 @@ def test_cpt1_rank_outside_one_to_four_is_rejected(tmp_path, rank):
     path = tmp_path / "t.cpt1"
     path.write_bytes(_cpt1_header(0, (1,) * rank) + b"\0" * 4)
     _assert_one_value_error_naming(path)
+
+
+@pytest.mark.parametrize("header,fault", [
+    (b"P5\n64", "truncated"),
+    (b"P5\n64 64\n", "truncated"),
+    (b"P5\n# c\n", "truncated"),
+    (b"P5\n64 x4 255\n", "non-numeric"),
+    (b"P5\n64 -4 255\n", "non-numeric"),
+])
+def test_pgm_bad_header_names_the_file_and_the_fault(tmp_path, header, fault):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(header)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {fault} PGM header$"):
+        read_pgm(path)
+
+
+# -- one-file checkpoints --------------------------------------------------------
+
+CKPT_SHAPES = {"a": (np.float32, (3, 4)), "b.w": (np.float64, (5,)), "c": (np.float32, (2, 1, 3))}
+
+
+def _ckpt_tensors() -> dict[str, np.ndarray]:
+    return {name: Rng(i).normal(shape, dtype=dt) for i, (name, (dt, shape)) in enumerate(CKPT_SHAPES.items())}
+
+
+def _ckpt_parts(dirpath) -> tuple[bytes, dict, bytes]:
+    """A saved checkpoint's bytes, its parsed header and its buffer."""
+    save_tensor_dir(dirpath, _ckpt_tensors(), {"seed": 1})
+    raw = (dirpath / io.CHECKPOINT).read_bytes()
+    n = int.from_bytes(raw[8:16], "little")
+    return raw, json.loads(raw[16 : 16 + n]), raw[16 + n : -32]
+
+
+def _write_checkpoint(path, header_text: str, buffer: bytes) -> None:
+    """A checkpoint with the given header, digested so it passes the digest check."""
+    head = header_text.encode()
+    body = io.CHECKPOINT_MAGIC + len(head).to_bytes(8, "little") + head + buffer
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def _assert_checkpoint_error_naming(path):
+    with pytest.raises(ValueError) as info:
+        load_tensor_dir(path.parent)
+    assert type(info.value) is ValueError
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_checkpoint_round_trip_is_one_file_of_views(tmp_path):
+    raw, header, buffer = _ckpt_parts(tmp_path)
+    arrays, header2 = load_tensor_dir(tmp_path)
+    assert [f.name for f in tmp_path.iterdir()] == [io.CHECKPOINT]
+    assert header2 == header and header["seed"] == 1
+    assert (16 + int.from_bytes(raw[8:16], "little")) % 64 == 0
+    for name, want in _ckpt_tensors().items():
+        assert arrays[name].dtype == want.dtype and not arrays[name].flags.writeable
+        np.testing.assert_array_equal(arrays[name], want)
+    # the same header re-digested by the helper loads: the lying-header test below is not vacuous
+    _write_checkpoint(tmp_path / io.CHECKPOINT, json.dumps(header), buffer)
+    np.testing.assert_array_equal(load_tensor_dir(tmp_path)[0]["b.w"], _ckpt_tensors()["b.w"])
+
+
+def test_checkpoint_save_that_fails_keeps_the_previous_file(tmp_path, monkeypatch):
+    raw = _ckpt_parts(tmp_path)[0]
+
+    def crash(src, dst):
+        raise OSError("crash mid-save")
+
+    monkeypatch.setattr(io.os, "replace", crash)
+    with pytest.raises(OSError):
+        save_tensor_dir(tmp_path, {"a": np.zeros(3, dtype=np.float32)})
+    assert (tmp_path / io.CHECKPOINT).read_bytes() == raw
+
+
+@pytest.mark.parametrize("fault,corrupt", [
+    ("bad magic", lambda raw: b"CPT1" + raw[4:]),
+    ("header length", lambda raw: raw[:8] + len(raw).to_bytes(8, "little") + raw[16:]),
+    ("digest mismatch", lambda raw: raw[:-1] + bytes([raw[-1] ^ 1])),
+])
+def test_checkpoint_error_names_the_fault(tmp_path, fault, corrupt):
+    path = tmp_path / io.CHECKPOINT
+    path.write_bytes(corrupt(_ckpt_parts(tmp_path)[0]))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {fault}"):
+        load_tensor_dir(tmp_path)
+
+
+def test_old_checkpoint_directory_gets_one_error_naming_the_format(tmp_path):
+    (tmp_path / "manifest.json").write_text('{"tensors": {}}')
+    with pytest.raises(ValueError, match="old checkpoint format"):
+        load_tensor_dir(tmp_path)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_checkpoint_truncated_at_any_length_is_rejected(tmp_path, data):
+    raw = _ckpt_parts(tmp_path)[0]
+    path = tmp_path / io.CHECKPOINT
+    path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
+    _assert_checkpoint_error_naming(path)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), flip=st.integers(1, 255))
+def test_checkpoint_with_a_flipped_byte_is_rejected(tmp_path, data, flip):
+    raw = bytearray(_ckpt_parts(tmp_path)[0])
+    raw[data.draw(st.integers(0, len(raw) - 1))] ^= flip
+    path = tmp_path / io.CHECKPOINT
+    path.write_bytes(bytes(raw))
+    _assert_checkpoint_error_naming(path)
+
+
+NOT_INTS = st.sampled_from([None, "0", [0], 1.5, True])
+LIES = {
+    "offset": lambda e: st.one_of(st.integers().filter(lambda v: v != e["offset"]), NOT_INTS),
+    "shape": lambda e: st.one_of(
+        st.lists(st.integers(0, 50), min_size=1, max_size=4).filter(
+            lambda s: math.prod(s) != math.prod(e["shape"])),
+        st.lists(st.integers(1, 3), min_size=5, max_size=6),  # rank above 4
+        st.just([]),
+        st.lists(st.one_of(st.integers(max_value=-1), NOT_INTS), min_size=1, max_size=4),
+    ),
+    "dtype": lambda e: st.one_of(
+        st.sampled_from(["<f2", "<i4", ">f4", ">f8", "float32", "f32", "<c8"]), NOT_INTS,
+        st.just("<f8" if e["dtype"] == "<f4" else "<f4"),  # a valid dtype of the wrong width
+    ),
+}
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), name=st.sampled_from(sorted(CKPT_SHAPES)),
+       lie=st.sampled_from([*LIES, "duplicate", "extra key", "unknown name", "trailing bytes"]))
+def test_checkpoint_header_that_lies_is_rejected(tmp_path, data, name, lie):
+    _, header, buffer = _ckpt_parts(tmp_path)
+    entry = header["tensors"][name]
+    if lie in LIES:
+        entry[lie] = data.draw(LIES[lie](entry))
+        text = json.dumps(header)
+    elif lie == "duplicate":
+        text = json.dumps(header).replace('"tensors": {', f'"tensors": {{"{name}": {json.dumps(entry)}, ', 1)
+    elif lie == "extra key":
+        entry["file"] = "t0000.cpt1"
+        text = json.dumps(header)
+    elif lie == "unknown name":
+        header["tensors"]["z"] = {"dtype": "<f4", "shape": [1], "offset": len(buffer)}
+        text = json.dumps(header)
+    else:
+        text = json.dumps(header)
+        buffer += bytes(data.draw(st.integers(1, 64)))
+    path = tmp_path / io.CHECKPOINT
+    _write_checkpoint(path, text, buffer)
+    _assert_checkpoint_error_naming(path)
