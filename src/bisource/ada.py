@@ -44,19 +44,21 @@ class AdaConfig:
 
 @dataclass
 class SourcePair:
-    """Two aligned token maps [L, C] with their spatial layout, L = h*w."""
+    """Two aligned token maps [b*L, C] of b samples, each sample's L = h*w
+    tokens one after the other, with their spatial layout."""
 
     f1: Tensor
     f2: Tensor
     h: int
     w: int
+    b: int = 1
 
     def __post_init__(self) -> None:
         if self.f1.shape != self.f2.shape:
             raise T.ShapeError(f"source shapes differ: {self.f1.shape} vs {self.f2.shape}")
-        if self.f1.shape[0] != self.h * self.w:
+        if self.f1.shape[0] != self.b * self.h * self.w:
             raise T.ShapeError(
-                f"token count {self.f1.shape[0]} != {self.h}x{self.w}"
+                f"token count {self.f1.shape[0]} != {self.b}x{self.h}x{self.w}"
             )
 
     @property
@@ -64,7 +66,7 @@ class SourcePair:
         return self.f1.shape[0]
 
     def swapped(self) -> "SourcePair":
-        return SourcePair(self.f2, self.f1, self.h, self.w)
+        return SourcePair(self.f2, self.f1, self.h, self.w, self.b)
 
 
 class ParamRegistry:
@@ -106,11 +108,12 @@ class Mlp:
         self.w2 = reg.make(rng, f"{name}.w2", (hidden, out_dim), "trunc_normal", dtype)
         self.b2 = reg.make(rng, f"{name}.b2", (out_dim,), "zeros", dtype)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        h = T.layer_norm(x, self.ln_g.value, self.ln_b.value)
-        h = T.add_bias(T.matmul(h, self.w1.value), self.b1.value)
+    def __call__(self, x: Tensor, b: int) -> Tensor:
+        """x holds b samples' rows, one sample after another."""
+        h = T.layer_norm(x, self.ln_g.value, self.ln_b.value, b)
+        h = T.add_bias(T.matmul(h, self.w1.value, b), self.b1.value, b)
         h = T.gelu(h)
-        return T.add_bias(T.matmul(h, self.w2.value), self.b2.value)
+        return T.add_bias(T.matmul(h, self.w2.value, b), self.b2.value, b)
 
 
 class CompWeights:
@@ -130,13 +133,13 @@ class CompWeights:
     def __call__(self, s: SourcePair) -> tuple[Tensor, Tensor]:
         base = getattr(T, self.op)(s.f1, s.f2)  # looked up per call, so wrappers on T see it
         c = base.shape[-1]
-        grid = T.reshape(base, (s.h, s.w, c))
+        grid = T.reshape(base, (s.b, s.h, s.w, c))
         p1 = T.avg_pool_2d(grid, 3)
         p2 = T.avg_pool_2d(grid, 5)
         stack = T.concat_channels([grid, p1, p2])
-        flat = T.reshape(stack, (s.h * s.w, 3 * c))
-        flat = T.layer_norm(flat, self.ln_g.value, self.ln_b.value)
-        flat = T.add_bias(T.matmul(flat, self.proj.value), self.bias.value)
+        flat = T.reshape(stack, (s.length, 3 * c))
+        flat = T.layer_norm(flat, self.ln_g.value, self.ln_b.value, s.b)
+        flat = T.add_bias(T.matmul(flat, self.proj.value, s.b), self.bias.value, s.b)
         d = self.proto_dim
         return T.slice_channels(flat, 0, d), T.slice_channels(flat, d, 2 * d)
 
@@ -170,9 +173,9 @@ class GatedAttention:
             return s.f1, s.f1  # identity: raw first-stream rows as key and value
         return self.comp(s)
 
-    def gated_residual(self, slot: Tensor, z: Tensor) -> Tensor:
-        gated = T.add(slot, T.scale_channels(z, self.gate.value))
-        return T.add(slot, self.ffn(gated))
+    def gated_residual(self, slot: Tensor, z: Tensor, b: int) -> Tensor:
+        gated = T.add(slot, T.scale_channels(z, self.gate.value, b))
+        return T.add(slot, self.ffn(gated, b))
 
 
 class ProtoAttention(GatedAttention):
@@ -207,28 +210,31 @@ class ProtoAttention(GatedAttention):
 
     # -- stages ------------------------------------------------------------
 
-    def aggregate(self, k_fw: Tensor, v_fw: Tensor) -> Tensor:
-        """Absorb source tokens into the prototype bank (convex token mixtures)."""
-        q_fw = T.matmul(self.prototypes.value, self.w_q_fw.value)
-        sim = T.cosine_rows(q_fw, k_fw)  # [K, L]
+    def aggregate(self, k_fw: Tensor, v_fw: Tensor, b: int = 1) -> Tensor:
+        """Absorb each sample's source tokens into its own copy of the
+        prototype bank (convex token mixtures): [b*L, D] -> [b*K, D]."""
+        bank = T.concat_rows([self.prototypes.value] * b)
+        q_fw = T.matmul(bank, self.w_q_fw.value, b)
+        sim = T.cosine_rows(q_fw, k_fw, b)  # [b*K, L]
         att = T.softmax_rows(sim)  # normalize over tokens per prototype
-        agg = T.matmul(T.matmul(att, v_fw), self.w_o_fw.value)
-        return self.ffn_fw(agg)
+        agg = T.matmul(T.batch_matmul(att, v_fw, b), self.w_o_fw.value, b)
+        return self.ffn_fw(agg, b)
 
-    def diffuse(self, p_tilde: Tensor, slot: Tensor) -> Tensor:
-        """Reconstruct slot tokens as gated mixtures of updated prototypes."""
-        q_bw = T.matmul(slot, self.w_q_bw.value)
-        k_bw = T.matmul(p_tilde, self.w_k_bw.value)
-        sim = T.cosine_rows(q_bw, k_bw)  # [L', K]
+    def diffuse(self, p_tilde: Tensor, slot: Tensor, b: int = 1) -> Tensor:
+        """Reconstruct each sample's slot tokens as gated mixtures of its
+        updated prototypes: p_tilde [b*K, D], slot [b*L', C]."""
+        q_bw = T.matmul(slot, self.w_q_bw.value, b)
+        k_bw = T.matmul(p_tilde, self.w_k_bw.value, b)
+        sim = T.cosine_rows(q_bw, k_bw, b)  # [b*L', K]
         att = T.softmax_rows(sim)  # normalize over prototypes per token
-        v_bw = T.matmul(p_tilde, self.w_v_bw.value)
-        z = T.matmul(T.matmul(att, v_bw), self.w_o_bw.value)
-        return self.gated_residual(slot, z)
+        v_bw = T.matmul(p_tilde, self.w_v_bw.value, b)
+        z = T.matmul(T.batch_matmul(att, v_bw, b), self.w_o_bw.value, b)
+        return self.gated_residual(slot, z, b)
 
     def forward(self, s: SourcePair, slot: Tensor) -> Tensor:
         k_fw, v_fw = self.comp_embed(s)
-        p_tilde = self.aggregate(k_fw, v_fw)
-        return self.diffuse(p_tilde, slot)
+        p_tilde = self.aggregate(k_fw, v_fw, s.b)
+        return self.diffuse(p_tilde, slot, s.b)
 
 
 class StdAttention(GatedAttention):
@@ -245,14 +251,15 @@ class StdAttention(GatedAttention):
 
     def forward(self, s: SourcePair, slot: Tensor) -> Tensor:
         keys, values = self.comp_embed(s)
-        q = T.matmul(slot, self.w_q.value)
-        scores = T.mul_scalar(T.matmul(q, T.transpose(keys)), 1.0 / math.sqrt(self.cfg.proto_dim))
+        q = T.matmul(slot, self.w_q.value, s.b)
+        scores = T.batch_matmul(q, T.transpose(keys, s.b), s.b)
+        scores = T.mul_scalar(scores, 1.0 / math.sqrt(self.cfg.proto_dim))
         del q
-        att = T.softmax_rows(scores)  # [L', L]
+        att = T.softmax_rows(scores)  # [b*L', L]
         del scores
-        z = T.matmul(att, values)
+        z = T.batch_matmul(att, values, s.b)
         del att, values
-        return self.gated_residual(slot, T.matmul(z, self.w_o.value))
+        return self.gated_residual(slot, T.matmul(z, self.w_o.value, s.b), s.b)
 
 
 def make_attention(form: str, cfg: AdaConfig, reg: ParamRegistry, rng: Rng, num_source_tokens: int | None = None,

@@ -1,10 +1,11 @@
 """Encoder-side consistency block and decoder-side difference block.
 
 The consistency block runs prototype attention over both streams stacked
-along the token axis (slot length 2*H*W) and splits the result back into the
-two enhanced streams.  The difference block builds its slot by mixing the
-two streams with the upsampled deeper decoder feature, then diffuses
-absolute-difference information into it (slot length H*W).
+along the token axis: each sample's slot is its source-1 tokens, then its
+source-2 tokens (2*H*W rows), the layout the encoder already holds.  The
+difference block builds its slot by mixing the two streams with the
+upsampled deeper decoder feature, then diffuses absolute-difference
+information into it (slot length H*W).  Both take b samples at once.
 """
 
 from __future__ import annotations
@@ -31,11 +32,10 @@ class ConsistencyBlock:
             raise ValueError("consistency block requires consistency (or identity) comp_op")
         self.attn = make_attention(attention_form, cfg, reg, rng, num_source_tokens, name, dtype)
 
-    def forward(self, s: SourcePair) -> tuple[Tensor, Tensor]:
-        L = s.length
-        slot = T.concat_rows([s.f1, s.f2])
-        out = self.attn.forward(s, slot)
-        return T.slice_rows(out, 0, L), T.slice_rows(out, L, 2 * L)
+    def forward(self, s: SourcePair, slot: Tensor) -> Tensor:
+        """Both streams enhanced, in the layout of ``slot``: for each of the
+        s.b samples, its s.f1 rows, then its s.f2 rows."""
+        return self.attn.forward(s, slot)
 
 
 class DifferenceBlock:
@@ -65,10 +65,10 @@ class DifferenceBlock:
                 f"deeper map {deeper_h}x{deeper_w} does not upsample to {s.h}x{s.w}"
             )
         cd = deeper.shape[-1]
-        grid = T.reshape(deeper, (deeper_h, deeper_w, cd))
+        grid = T.reshape(deeper, (s.b, deeper_h, deeper_w, cd))
         up = T.bilinear_upsample_2x(grid)
-        up = T.reshape(up, (s.h * s.w, cd))
-        return self.mixer(T.concat_channels([s.f1, s.f2, up]))
+        up = T.reshape(up, (s.length, cd))
+        return self.mixer(T.concat_channels([s.f1, s.f2, up]), s.b)
 
     def forward(self, s: SourcePair, deeper: Tensor, deeper_h: int, deeper_w: int) -> Tensor:
         slot = self.build_slot(s, deeper, deeper_h, deeper_w)

@@ -50,7 +50,7 @@ from .model import (
 )
 from .tensor import NumericalError, Parameter, Rng, Tensor
 
-GRADCHECK_SCOPES = ("op", "ada", "ceb", "dab", "model")
+GRADCHECK_SCOPES = ("op", "ada", "ceb", "dab", "model", "batch")
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +139,26 @@ def _save_checkpoint(path: Path, model: BiSourceModel) -> None:
 
 
 def load_checkpoint(path: str | Path) -> BiSourceModel:
-    """Rebuild the model a checkpoint holds, in the dtype of its parameters."""
+    """Rebuild the model a checkpoint holds, in the dtype of its parameters.
+
+    Every error is one ValueError that starts with the checkpoint's path.
+    """
     arrays, header = load_tensor_dir(path)
     dtypes = {a.dtype for a in arrays.values()}
     if len(dtypes) != 1:
         raise ValueError(f"{path}: checkpoint parameters need one dtype, found {sorted(map(str, dtypes))}")
-    model = BiSourceModel(ModelConfig.from_json(header["model_config"]),
-                          seed=int(header.get("seed", 0)), dtype=dtypes.pop().type)
-    model.load_state(arrays)
+    if "model_config" not in header:
+        raise ValueError(f"{path}: checkpoint header has no 'model_config'")
+    try:
+        model = BiSourceModel(ModelConfig.from_json(header["model_config"]),
+                              seed=int(header.get("seed", 0)), dtype=dtypes.pop().type)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: checkpoint header 'model_config' or 'seed' is malformed: "
+                         f"{type(exc).__name__}: {exc}") from None
+    try:
+        model.load_state(arrays)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return model
 
 
@@ -330,12 +342,8 @@ def _scope_ceb(rng: Rng):
     f1 = Tensor(rng.normal((4, 3), dtype=np.float64))
     f2 = Tensor(rng.normal((4, 3), dtype=np.float64))
     pair = SourcePair(f1, f2, 2, 2)
-
-    def f() -> Tensor:
-        g1, g2 = blk.forward(pair)
-        return T.sum_all(T.add(g1, g2))
-
-    return f, reg.all()
+    slot = Tensor(np.concatenate([f1.data, f2.data]))  # the pair stacked, as the encoder holds it
+    return (lambda: T.sum_all(blk.forward(pair, slot))), reg.all()
 
 
 def _scope_dab(rng: Rng):
@@ -360,6 +368,19 @@ def _scope_model(rng: Rng):
     return (lambda: model.sample_loss(img1, img2, target)), model.parameters()
 
 
+def _scope_batch(rng: Rng):
+    cfg = ModelConfig(base_channels=2, num_prototypes=2, input_hw=(32, 32), head="binary")
+    model = BiSourceModel(cfg, seed=rng.seed, dtype=np.float64)
+    _randomize_gates(model.registry, rng)
+    batch = [
+        (rng.uniform((32, 32), dtype=np.float64), rng.uniform((32, 32), dtype=np.float64),
+         (rng.uniform((32, 32), dtype=np.float64) > 0.5).astype(np.float64))
+        for _ in range(2)
+    ]
+    img1, img2, target = model.stack_batch(batch)
+    return (lambda: model.loss(model.forward(img1, img2), target)), model.parameters()
+
+
 def cmd_gradcheck(o: dict) -> int:
     scopes = GRADCHECK_SCOPES if o["scope"] == "all" else (o["scope"],)
     failed = False
@@ -367,11 +388,12 @@ def cmd_gradcheck(o: dict) -> int:
         rng = Rng(int(o["seed"])).spawn(GRADCHECK_SCOPES.index(scope))
         builders = {
             "op": _scope_op, "ada": _scope_ada, "ceb": _scope_ceb,
-            "dab": _scope_dab, "model": _scope_model,
+            "dab": _scope_dab, "model": _scope_model, "batch": _scope_batch,
         }
         f, params = builders[scope](rng)
-        tol = float(o["tol"]) if o["tol"] is not None else (1e-3 if scope == "model" else 1e-4)
-        cap = 2 if scope == "model" else None
+        whole_model = scope in ("model", "batch")
+        tol = float(o["tol"]) if o["tol"] is not None else (1e-3 if whole_model else 1e-4)
+        cap = 2 if whole_model else None
         # a step well below the default keeps curvature (truncation) error far
         # under the tolerance while float64 roundoff stays negligible
         report = grad_check(f, params, h=1e-5, tol=tol, max_elements_per_param=cap,
@@ -457,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub, d = new_sub("gradcheck", "finite-difference gradient validation", cmd_gradcheck)
     _add(sub, d, "--scope", choices=GRADCHECK_SCOPES + ("all",), default="all")
     _add(sub, d, "--tol", type=float, default=None,
-         help="relative-error tolerance (default 1e-4; 1e-3 for the model scope)")
+         help="relative-error tolerance (default 1e-4; 1e-3 for the model and batch scopes)")
 
     sub, d = new_sub("bench", "scaling sweep over token counts", cmd_bench)
     _add(sub, d, "--sweep", default="", help="JSON file with sweep settings")

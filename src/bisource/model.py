@@ -2,6 +2,13 @@
 blocks, linear deepest fusion, a cascade of difference blocks, and a light
 task head.  Trains with AdamW on binary/multiclass cross-entropy or a
 density regression loss.
+
+The model runs a batch of B image pairs at once.  Activations are rows
+[B*L, C], each sample's L tokens one after the other.  The ops that mix
+tokens or apply weights take the batch count and work sample by sample, so
+a batch has the outputs and gradients of one-pair passes bit for bit.  The
+shared-weight encoder runs both sources as one batch of 2B images: for each
+sample, its img1 tokens, then its img2 tokens.
 """
 
 from __future__ import annotations
@@ -88,13 +95,13 @@ class SelfAttention:
         self.w_v = reg.make(rng, f"{name}.w_v", (dim, dim), "trunc_normal", dtype)
         self.w_o = reg.make(rng, f"{name}.w_o", (dim, dim), "trunc_normal", dtype)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        h = T.layer_norm(x, self.ln_g.value, self.ln_b.value)
-        q = T.matmul(h, self.w_q.value)
-        k = T.matmul(h, self.w_k.value)
-        v = T.matmul(h, self.w_v.value)
-        att = T.attention_rows(q, k, v, 1.0 / math.sqrt(self.dim))
-        return T.matmul(att, self.w_o.value)
+    def __call__(self, x: Tensor, b: int) -> Tensor:
+        h = T.layer_norm(x, self.ln_g.value, self.ln_b.value, b)
+        q = T.matmul(h, self.w_q.value, b)
+        k = T.matmul(h, self.w_k.value, b)
+        v = T.matmul(h, self.w_v.value, b)
+        att = T.attention_rows(q, k, v, 1.0 / math.sqrt(self.dim), b)
+        return T.matmul(att, self.w_o.value, b)
 
 
 class EncoderStage:
@@ -110,15 +117,15 @@ class EncoderStage:
         self.attn = SelfAttention(reg, rng, out_dim, f"{name}.attn", dtype)
         self.ffn = Mlp(reg, rng, out_dim, 2 * out_dim, out_dim, f"{name}.ffn", dtype)
 
-    def __call__(self, x: Tensor, h: int, w: int) -> tuple[Tensor, int, int]:
-        grid = T.reshape(x, (h, w, x.shape[-1]))
+    def __call__(self, x: Tensor, h: int, w: int, b: int) -> tuple[Tensor, int, int]:
+        grid = T.reshape(x, (b, h, w, x.shape[-1]))
         grid = T.space_to_depth(grid, self.merge_factor)
         hh, ww = h // self.merge_factor, w // self.merge_factor
-        flat = T.reshape(grid, (hh * ww, grid.shape[-1]))
-        flat = T.layer_norm(flat, self.merge_ln_g.value, self.merge_ln_b.value)
-        flat = T.add_bias(T.matmul(flat, self.merge_w.value), self.merge_b.value)
-        flat = T.add(flat, self.attn(flat))
-        flat = T.add(flat, self.ffn(flat))
+        flat = T.reshape(grid, (b * hh * ww, grid.shape[-1]))
+        flat = T.layer_norm(flat, self.merge_ln_g.value, self.merge_ln_b.value, b)
+        flat = T.add_bias(T.matmul(flat, self.merge_w.value, b), self.merge_b.value, b)
+        flat = T.add(flat, self.attn(flat, b))
+        flat = T.add(flat, self.ffn(flat, b))
         return flat, hh, ww
 
 
@@ -130,13 +137,13 @@ class TaskHead:
         self.out_dim = {"binary": 1, "density": 1, "multiclass": n_classes}[kind]
         self.mlp = Mlp(reg, rng, dim, dim, self.out_dim, name, dtype)
 
-    def __call__(self, x: Tensor, h: int, w: int) -> Tensor:
-        grid = T.reshape(self.mlp(x), (h, w, self.out_dim))
+    def __call__(self, x: Tensor, h: int, w: int, b: int) -> Tensor:
+        grid = T.reshape(self.mlp(x, b), (b, h, w, self.out_dim))
         grid = T.bilinear_upsample_2x(grid)
         grid = T.bilinear_upsample_2x(grid)
         if self.kind == "density":
             grid = T.relu(grid)
-        return grid  # [4h, 4w, out_dim]
+        return grid  # [b, 4h, 4w, out_dim]
 
 
 class BiSourceModel:
@@ -220,41 +227,45 @@ class BiSourceModel:
     # -- forward ------------------------------------------------------------
 
     def encode(self, img1: Tensor, img2: Tensor) -> list[SourcePair]:
-        h, w, _ = img1.shape
+        """Both sources' token maps after each stage, for [H, W, C] or
+        [B, H, W, C] images.  Each stage runs the 2B images as one batch."""
+        if img1.shape != img2.shape:
+            raise T.ShapeError(f"img2: shape {img2.shape} differs from img1's {img1.shape}")
+        h, w, c = img1.shape[-3:]
         if h % DIVISOR or w % DIVISOR:
             raise T.ShapeError(f"input extents must be divisible by {DIVISOR}, got {h}x{w}")
-        x1 = T.reshape(img1, (h * w, img1.shape[-1]))
-        x2 = T.reshape(img2, (h * w, img2.shape[-1]))
+        b = math.prod(img1.shape[:-3])
+        x = Tensor(np.stack([img1.data.reshape(b, h * w, c), img2.data.reshape(b, h * w, c)],
+                            axis=1).reshape(2 * b * h * w, c))
         pairs: list[SourcePair] = []
         for stage, ceb in zip(self.stages, self.cebs):
-            x1, hh, ww = stage(x1, h, w)
-            x2, _, _ = stage(x2, h, w)
-            h, w = hh, ww
-            pair = SourcePair(x1, x2, h, w)
+            x, h, w = stage(x, h, w, 2 * b)
             if ceb is not None:
-                x1, x2 = ceb.forward(pair)
-                pair = SourcePair(x1, x2, h, w)
-            pairs.append(pair)
+                x = ceb.forward(_split(x, h, w, b), x)
+            pairs.append(_split(x, h, w, b))
         return pairs
 
     def decode(self, pairs: list[SourcePair]) -> Tensor:
         deepest = pairs[-1]
         fused = T.concat_channels([deepest.f1, deepest.f2])
-        fused = T.layer_norm(fused, self.fuse_ln_g.value, self.fuse_ln_b.value)
-        fused = T.add_bias(T.matmul(fused, self.fuse_w.value), self.fuse_b.value)
+        b = deepest.b
+        fused = T.layer_norm(fused, self.fuse_ln_g.value, self.fuse_ln_b.value, b)
+        fused = T.add_bias(T.matmul(fused, self.fuse_w.value, b), self.fuse_b.value, b)
         x, xh, xw = fused, deepest.h, deepest.w
         for dab, level in zip(self.dabs, (2, 1, 0)):
             pair = pairs[level]
             x = dab.forward(pair, x, xh, xw)
             xh, xw = pair.h, pair.w
-        return self.head(x, xh, xw)
+        return self.head(x, xh, xw, b)
 
     def forward(self, img1: Tensor, img2: Tensor) -> Tensor:
-        return self.decode(self.encode(img1, img2))
+        """[B, H, W, out] for [B, H, W, C] images; [H, W, out] for [H, W, C]."""
+        out = self.decode(self.encode(img1, img2))
+        return out if img1.data.ndim == 4 else T.reshape(out, out.shape[1:])
 
     def predict(self, img1: np.ndarray, img2: np.ndarray) -> np.ndarray:
         """Inference: binary -> {0,1} mask, multiclass -> class map, density -> map."""
-        out = self.forward(*self._checked_inputs(img1, img2)).data
+        out = self.forward(*self._checked_inputs(img1, img2)).data[0]
         if self.config.head == "binary":
             return (out[..., 0] > 0.0).astype(np.uint8)
         if self.config.head == "multiclass":
@@ -262,7 +273,7 @@ class BiSourceModel:
         return out[..., 0]
 
     def predict_scores(self, img1: np.ndarray, img2: np.ndarray) -> np.ndarray:
-        out = self.forward(*self._checked_inputs(img1, img2)).data
+        out = self.forward(*self._checked_inputs(img1, img2)).data[0]
         if self.config.head == "binary":
             return 1.0 / (1.0 + np.exp(-out[..., 0]))
         return out
@@ -273,7 +284,8 @@ class BiSourceModel:
         return Tensor(np.ascontiguousarray(img, dtype=self.dtype))
 
     def _checked_inputs(self, img1: np.ndarray, img2: np.ndarray) -> tuple[Tensor, Tensor]:
-        """The pair as [H, W, C] inputs, or one error that names the bad image.
+        """The pair as a batch of one, [1, H, W, C] each, or one error that
+        names the bad image.
 
         Each image is [H, W] or [H, W, in_channels] with H and W positive
         multiples of DIVISOR, both have the same extents, and every value is
@@ -293,33 +305,59 @@ class BiSourceModel:
         if imgs[0].shape[:2] != imgs[1].shape[:2]:
             raise T.ShapeError(f"img2: shape {imgs[1].shape} differs from img1's {imgs[0].shape}")
         with np.errstate(over="ignore"):  # a value cast to Inf is reported below
-            inputs = (self._as_input(imgs[0]), self._as_input(imgs[1]))
+            inputs = tuple(Tensor(self._as_input(img).data[None]) for img in imgs)
         for name, x in zip(names, inputs):
             if not T.all_finite(x.data):
                 raise ValueError(f"{name}: NaN or Inf in the image (as {x.dtype})")
         return inputs
 
+    def stack_batch(self, batch: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+                    ) -> tuple[Tensor, Tensor, np.ndarray]:
+        """A list of (img1, img2, target) as [B, H, W, C] inputs and [B, H, W]
+        targets, or one error that names the sample and what is wrong."""
+        ins1, ins2, targets = [], [], []
+        for i, (img1, img2, target) in enumerate(batch):
+            try:
+                x1, x2 = self._checked_inputs(img1, img2)
+            except ValueError as exc:  # ShapeError included
+                raise type(exc)(f"sample {i}: {exc}") from None
+            target = np.asarray(target)
+            if target.shape != x1.shape[1:3]:
+                raise T.ShapeError(f"sample {i}: target shape {target.shape} "
+                                   f"!= image extents {x1.shape[1:3]}")
+            if i and x1.shape != ins1[0].shape:
+                raise T.ShapeError(f"sample {i}: image shape {x1.shape[1:]} differs from sample 0's "
+                                   f"{ins1[0].shape[1:]}")
+            ins1.append(x1.data)
+            ins2.append(x2.data)
+            targets.append(target)
+        return Tensor(np.concatenate(ins1)), Tensor(np.concatenate(ins2)), np.stack(targets)
+
     # -- loss / training ------------------------------------------------------
 
     def loss(self, pred: Tensor, target: np.ndarray) -> Tensor:
+        """Mean loss of [B, H, W, out] predictions (or one [H, W, out]) against
+        [B, H, W] targets: over every pixel, and for density the count error
+        of each sample, averaged over the samples."""
         kind = self.config.head
         if kind == "binary":
             t = Tensor(np.ascontiguousarray(target, dtype=self.dtype).reshape(-1))
             return T.bce_with_logits(T.reshape(pred, (t.shape[0],)), t)
         if kind == "multiclass":
             n_cls = self.config.n_classes
-            logits = T.reshape(pred, (pred.shape[0] * pred.shape[1], n_cls))
+            logits = T.reshape(pred, (pred.data.size // n_cls, n_cls))
             return T.softmax_cross_entropy(logits, np.asarray(target).reshape(-1))
         # density: pixel mse plus weighted absolute count error
+        b = math.prod(pred.shape[:-3])
         t = Tensor(np.ascontiguousarray(target, dtype=self.dtype))
         p = T.reshape(pred, t.shape)
         err = T.sub(p, t)
         mse = T.mean_all(T.mul(err, err))
-        count_err = T.abs_all(T.sub(T.sum_all(p), T.sum_all(t)))
+        count_err = T.mean_all(T.abs_all(T.sub(T.sum_all(p, b), T.sum_all(t, b))))
         return T.add(mse, T.mul_scalar(count_err, self.config.count_loss_weight))
 
     def sample_loss(self, img1: np.ndarray, img2: np.ndarray, target: np.ndarray) -> Tensor:
-        return self.loss(self.forward(*self._checked_inputs(img1, img2)), target)
+        return self.loss(self.forward(*self._checked_inputs(img1, img2)), np.asarray(target)[None])
 
     def parameters(self) -> list[Parameter]:
         return self.registry.all()
@@ -343,6 +381,12 @@ class BiSourceModel:
             if tuple(a.shape) != p.value.shape:
                 raise ValueError(f"{name}: checkpoint shape {a.shape} != model {p.value.shape}")
             p.assign(a.astype(p.value.data.dtype))
+
+
+def _split(x: Tensor, h: int, w: int, b: int) -> SourcePair:
+    """The two sources of stacked rows: each sample's img1 tokens, then its img2 tokens."""
+    n = h * w
+    return SourcePair(T.slice_rows(x, 0, n, b), T.slice_rows(x, n, 2 * n, b), h, w, b)
 
 
 def ablation_variant(model: BiSourceModel, drop: set[str]) -> BiSourceModel:
@@ -398,15 +442,18 @@ class AdamW:
 
 def train_step(model: BiSourceModel, batch: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
                optimizer: AdamW) -> float:
-    """One forward/backward/update over a batch of (img1, img2, target)."""
+    """One forward, one backward and one update over a batch of (img1, img2,
+    target), all of the same extents; returns the batch's mean loss."""
+    if not batch:
+        raise ValueError("train_step: empty batch")
+    try:
+        img1, img2, target = model.stack_batch(batch)
+    except ValueError as exc:
+        raise type(exc)(f"train_step: {exc}") from None
     optimizer.zero_grad()
     try:
         with Tape() as tape:
-            losses = [model.sample_loss(i1, i2, t) for i1, i2, t in batch]
-            total = losses[0]
-            for extra in losses[1:]:
-                total = T.add(total, extra)
-            total = T.mul_scalar(total, 1.0 / len(batch))
+            total = model.loss(model.forward(img1, img2), target)
             value = total.item()
             backward(total, tape)
     except NumericalError as exc:

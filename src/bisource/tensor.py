@@ -6,18 +6,30 @@ Tape is active in the calling thread, records a backward closure.  The
 validation probes the output's sum of squares, which is finite only if every
 element is, and scans the elements only when the probe is not finite (a NaN
 or Inf, or finite values whose squares overflow), so it is exact.
+``backward`` drops each intermediate gradient as soon as its record's
+closure has run.
+
+A batch of b samples is carried as rows, each sample's rows after the
+previous sample's, so elementwise and row-wise ops need no batch count.  The
+ops that take ``b`` work sample by sample: ``attention_rows``,
+``cosine_rows``, ``batch_matmul``, ``transpose``, ``slice_rows`` and
+``sum_all`` mix rows only within a sample; ``matmul`` makes one product per
+sample; and ``matmul``, ``add_bias``, ``layer_norm`` and ``scale_channels``
+add the samples' shares of a weight's gradient last sample first.  The grid
+ops take [H, W, C] or [B, H, W, C].  So a batched pass has, bit for bit, the
+outputs and gradients of b one-sample passes recorded one after another.
 
 Live-element accounting for peak-memory measurement is kept in a
 process-global ``alloc_stats``: a Tensor adds its size when created and
 subtracts it in ``__del__``.
 
-Untaped ``attention_rows`` calls with more than two blocks of query rows
-share the blocks between the calling thread and one helper thread, started
-on first use, when the process may run on two or more CPUs.  The helper runs
-numpy only: it creates no Tensor, calls no public op and records nothing, so
-``alloc_stats``, the Tape and anything that wraps the public ops see the
-call from the calling thread alone.  Blocks are the same with one CPU or
-two, so the output bits are too.
+Untaped ``attention_rows`` calls of more than one block of query rows and
+more than ATTN_HELPER_SCORES scores (b x M x N) share the blocks between the
+calling thread and one helper thread, started on first use, when the process
+may run on two or more CPUs.  The helper runs numpy only: it creates no
+Tensor, calls no public op and records nothing, so ``alloc_stats``, the Tape
+and anything that wraps the public ops see the call from the calling thread
+alone.  Blocks are the same with one CPU or two, so the output bits are too.
 """
 
 from __future__ import annotations
@@ -45,6 +57,7 @@ __all__ = [
     "tensor",
     "backward",
     "matmul",
+    "batch_matmul",
     "transpose",
     "add",
     "sub",
@@ -81,10 +94,14 @@ LN_EPS = 1e-5
 # d = 16, one BLAS thread per thread) a 4096-token call took 66 ms on one
 # thread at 128-256 rows, 76-82 ms at 64, 512 and 1024, 129 ms in one block
 # and 190 ms as the five-op chain, and 69 ms on one thread against 38 ms
-# shared with the helper at 128 rows.  A 256-token call took 363 us on one
-# thread and 430 us on two, so calls of two blocks or fewer stay on the caller.
+# shared with the helper at 128 rows.
 ATTN_ROW_BLOCK = 128
-
+# The helper thread takes part only in calls of more than this many scores
+# (b x M x N).  Medians of alternating one- and two-thread calls on the same
+# VM, two threads against one: b x 256 tokens 1.12 (b = 2), 1.09 (4) and
+# 1.06 (8) times slower; 1 x 384 1.22 and 1 x 512 1.07 times slower; 2 x 512
+# 0.80, 1 x 1024 0.67 and 2 x 1024 (d = 32) 0.63 of the time.
+ATTN_HELPER_SCORES = 2**18
 
 try:
     _CPUS = len(os.sched_getaffinity(0))  # the CPUs this process may run on
@@ -242,19 +259,20 @@ _active_tape: ContextVar[Tape | None] = ContextVar("bisource_active_tape", defau
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Accumulate d(loss)/d(input) into .grad of every tensor on the tape."""
+    """Accumulate d(loss)/d(input) into .grad of every tensor on the tape.
+
+    A record's output gradient is dropped as soon as its closure has run, so
+    an intermediate gradient lives only until its inputs have taken it.
+    Parameters are never record outputs and keep theirs (zeroed elsewhere).
+    """
     if loss.data.size != 1:
         raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
-    seeded: list[Tensor] = []
     loss.grad = np.ones_like(loss.data)
     for out, fn in reversed(tape._records):
         if out.grad is None:
             continue
         fn(out.grad)
-        seeded.append(out)
-    # intermediate grads are transient; parameters keep theirs (zeroed elsewhere)
-    for t in seeded:
-        t.grad = None
+        out.grad = None
     tape.clear()
 
 
@@ -335,26 +353,71 @@ class Rng:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    c = a.data @ b.data
+def _groups(x: Tensor, b: int, op: str) -> np.ndarray:
+    """A rank-2 [b*M, N] operand as b stacked [M, N] matrices (a view)."""
+    if x.data.ndim != 2 or b < 1 or x.shape[0] % b:
+        raise ShapeError(f"{op}: {x.shape} is not {b} groups of rows")
+    return x.data.reshape(b, x.shape[0] // b, x.shape[1])
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    return a.transpose(0, 2, 1)
+
+
+def _transposed_groups(x3: np.ndarray) -> np.ndarray:
+    """x3's b matrices [b, P, Q] transposed and stacked, [b*Q, P], laid out as
+    the transpose of one C-ordered [P, b*Q] array, as ``x.T`` is at b = 1.
+    A gradient keeps its layout, and BLAS can round a product with an operand
+    so laid out differently from the same product with a C-ordered copy."""
+    b, p, q = x3.shape
+    return x3.transpose(1, 0, 2).reshape(p, b * q).T
+
+
+def _accum_per_sample(t: Tensor, parts: np.ndarray) -> None:
+    """Add b samples' gradients [b, ...] to t's, last sample first: what the
+    records of b samples made one after another would add, in their order."""
+    for part in parts[::-1]:
+        _accum(t, part)
+
+
+def matmul(a: Tensor, w: Tensor, b: int = 1) -> Tensor:
+    """a [b*M, K] x w [K, N] for b samples stacked in a's rows: one product
+    per sample, so each sample's rows, and its share of w's gradient, have
+    the bits of the product on that sample alone (``_accum_per_sample``)."""
+    if a.data.ndim != 2 or w.data.ndim != 2 or a.shape[1] != w.shape[0]:
+        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {w.shape}")
+    a3 = _groups(a, b, "matmul")
 
     def fn(g: np.ndarray) -> None:
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        g3 = g.reshape(b, -1, g.shape[1])
+        _accum(a, np.matmul(g3, w.data.T).reshape(a.shape))
+        _accum_per_sample(w, np.matmul(_t(a3), g3))
 
-    return _out(c, fn)
+    return _out(np.matmul(a3, w.data).reshape(a.shape[0], w.shape[1]), fn)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError("transpose: rank-2 only")
+def transpose(a: Tensor, b: int = 1) -> Tensor:
+    """[b*M, N] -> [b*N, M]: each sample's [M, N] rows transposed in place."""
+    a3 = _groups(a, b, "transpose")
 
     def fn(g: np.ndarray) -> None:
-        _accum(a, g.T)
+        _accum(a, _transposed_groups(g.reshape(b, a3.shape[2], a3.shape[1])))
 
-    return _out(a.data.T.copy(), fn)
+    return _out(_t(a3).copy().reshape(-1, a3.shape[1]), fn)
+
+
+def batch_matmul(a: Tensor, c: Tensor, b: int) -> Tensor:
+    """[b*M, K] x [b*K, N] -> [b*M, N]: each sample's rows times its own matrix."""
+    a3, c3 = _groups(a, b, "batch_matmul"), _groups(c, b, "batch_matmul")
+    if a3.shape[2] != c3.shape[1]:
+        raise ShapeError(f"batch_matmul: incompatible shapes {a.shape} x {c.shape} in {b} groups")
+
+    def fn(g: np.ndarray) -> None:
+        g3 = g.reshape(b, a3.shape[1], c3.shape[2])
+        _accum(a, np.matmul(g3, _t(c3)).reshape(a.shape))
+        _accum(c, np.matmul(_t(a3), g3).reshape(c.shape))
+
+    return _out(np.matmul(a3, c3).reshape(-1, c3.shape[2]), fn)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -399,25 +462,27 @@ def absdiff(a: Tensor, b: Tensor) -> Tensor:
     return _out(np.abs(d), fn)
 
 
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    if b.data.ndim != 1 or x.shape[-1] != b.shape[0]:
-        raise ShapeError(f"add_bias: {x.shape} + bias {b.shape}")
+def add_bias(x: Tensor, bias: Tensor, b: int = 1) -> Tensor:
+    """x + bias over the last axis, for b samples stacked in x's rows."""
+    if bias.data.ndim != 1 or x.shape[-1] != bias.shape[0] or x.shape[0] % b:
+        raise ShapeError(f"add_bias: {x.shape} + bias {bias.shape} in {b} samples")
 
     def fn(g: np.ndarray) -> None:
         _accum(x, g)
-        _accum(b, g.reshape(-1, b.shape[0]).sum(axis=0))
+        _accum_per_sample(bias, g.reshape(b, -1, bias.shape[0]).sum(axis=1))
 
-    return _out(x.data + b.data, fn)
+    return _out(x.data + bias.data, fn)
 
 
-def scale_channels(x: Tensor, g_vec: Tensor) -> Tensor:
-    """x * g_vec with g_vec broadcast over all leading axes (per-channel gate)."""
-    if g_vec.data.ndim != 1 or x.shape[-1] != g_vec.shape[0]:
-        raise ShapeError(f"scale_channels: {x.shape} * {g_vec.shape}")
+def scale_channels(x: Tensor, g_vec: Tensor, b: int = 1) -> Tensor:
+    """x * g_vec with g_vec broadcast over all leading axes (per-channel gate),
+    for b samples stacked in x's rows."""
+    if g_vec.data.ndim != 1 or x.shape[-1] != g_vec.shape[0] or x.shape[0] % b:
+        raise ShapeError(f"scale_channels: {x.shape} * {g_vec.shape} in {b} samples")
 
     def fn(g: np.ndarray) -> None:
         _accum(x, g * g_vec.data)
-        _accum(g_vec, (g * x.data).reshape(-1, g_vec.shape[0]).sum(axis=0))
+        _accum_per_sample(g_vec, (g * x.data).reshape(b, -1, g_vec.shape[0]).sum(axis=1))
 
     return _out(x.data * g_vec.data, fn)
 
@@ -468,37 +533,44 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _out(z, fn)
 
 
-def attention_rows(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
-    """softmax_rows(scale * q k^T) v for q [M, d], k [N, d], v [N, dv].
+def attention_rows(q: Tensor, k: Tensor, v: Tensor, scale: float, b: int = 1) -> Tensor:
+    """softmax_rows(scale * q k^T) v for each of b samples: q [b*M, d],
+    k [b*N, d], v [b*N, dv] -> [b*M, dv]; a sample's queries see only its keys.
 
-    With a Tape active this is the chain matmul, transpose, mul_scalar,
-    softmax_rows, matmul, so outputs, gradients and tape records are those of
-    the five ops.  Without one, ``scale`` is folded into q and the scores are
-    built ATTN_ROW_BLOCK query rows at a time, by this thread and, for more
-    than two blocks on two or more CPUs, the helper thread.  Every block sees
-    every key, so each row's softmax is exact, and no more than
+    With a Tape active this is one record whose output and gradients are
+    those of the chain transpose, matmul, mul_scalar, softmax_rows, matmul,
+    bit for bit, with the b samples' products done by one batched matmul.
+    Without one, ``scale`` is folded into q and each sample's scores are built
+    ATTN_ROW_BLOCK query rows at a time, by this thread and, for calls of
+    more than one block and more than ATTN_HELPER_SCORES scores on two or
+    more CPUs, the helper thread.  Every block sees all of its sample's
+    keys, so each row's softmax is exact, and no more than
     2 x ATTN_ROW_BLOCK x N scores are held at once.
     """
     if (q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2
-            or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]):
-        raise ShapeError(f"attention_rows: q {q.shape}, k {k.shape}, v {v.shape}")
+            or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]
+            or b < 1 or q.shape[0] % b or k.shape[0] % b):
+        raise ShapeError(f"attention_rows: q {q.shape}, k {k.shape}, v {v.shape}, b {b}")
+    q3, k3, v3 = (x.data.reshape(b, -1, x.shape[1]) for x in (q, k, v))
     if _active_tape.get() is not None:
-        return matmul(softmax_rows(mul_scalar(matmul(q, transpose(k)), scale)), v)
+        return _attention_taped(q, k, v, q3, k3, v3, float(scale))
     qs = q.data * float(scale)
-    kt = k.data.T
+    kt = _t(k3)
     out = np.empty((q.shape[0], v.shape[1]), dtype=np.result_type(qs, kt, v.data))
-    n_blocks = -(-q.shape[0] // ATTN_ROW_BLOCK)
-    threads = 2 if n_blocks > 2 and _CPUS >= 2 else 1
-    bufs = np.empty((threads, min(ATTN_ROW_BLOCK, q.shape[0]), k.shape[0]),
+    m = q3.shape[1]
+    n_blocks = b * -(-m // ATTN_ROW_BLOCK)
+    scores = b * m * k3.shape[1]
+    threads = 2 if n_blocks > 1 and scores > ATTN_HELPER_SCORES and _CPUS >= 2 else 1
+    bufs = np.empty((threads, min(ATTN_ROW_BLOCK, m), k3.shape[1]),
                     dtype=np.result_type(qs, kt))
     # shared by both threads: each next() claims one block, atomically under the GIL
     blocks = iter(range(n_blocks))
     helper = None
     if threads == 2:
         helper = _attention_helper().submit(
-            _attention_blocks, qs, kt, v.data, out, blocks, bufs[1])
+            _attention_blocks, qs, kt, v3, out, blocks, bufs[1])
     try:
-        _attention_blocks(qs, kt, v.data, out, blocks, bufs[0])
+        _attention_blocks(qs, kt, v3, out, blocks, bufs[0])
     finally:
         # never return or raise while the helper may still write `out`; a
         # helper that has not started yet is cancelled rather than awaited
@@ -509,12 +581,20 @@ def attention_rows(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
 
 def _attention_blocks(qs: np.ndarray, kt: np.ndarray, v: np.ndarray, out: np.ndarray,
                       blocks: Iterator[int], buf: np.ndarray) -> None:
-    """Fill the blocks of ``out`` that this thread takes from ``blocks`` (numpy only)."""
+    """Fill the blocks of ``out`` that this thread takes from ``blocks`` (numpy only).
+
+    ``kt`` [b, d, N] and ``v`` [b, N, dv] hold each sample's keys and values;
+    ``qs`` and ``out`` hold the samples' query and output rows one after the
+    other, and block i covers rows of sample i // (blocks per sample).
+    """
+    m = qs.shape[0] // kt.shape[0]
+    per_sample = -(-m // ATTN_ROW_BLOCK)
     for i in blocks:
-        start = i * ATTN_ROW_BLOCK
-        rows = qs[start : start + ATTN_ROW_BLOCK]
+        sample, block = divmod(i, per_sample)
+        start = sample * m + block * ATTN_ROW_BLOCK
+        rows = qs[start : start + min(ATTN_ROW_BLOCK, m - block * ATTN_ROW_BLOCK)]
         z = buf[: rows.shape[0]]
-        np.matmul(rows, kt, out=z)
+        np.matmul(rows, kt[sample], out=z)
         z -= z.max(axis=1, keepdims=True)
         np.exp(z, out=z)
         total = z.sum(axis=1, keepdims=True)
@@ -525,12 +605,35 @@ def _attention_blocks(qs: np.ndarray, kt: np.ndarray, v: np.ndarray, out: np.nda
                 pass
             raise _non_finite("attention_rows", out)
         z /= total
-        np.matmul(z, v, out=out[start : start + rows.shape[0]])
+        np.matmul(z, v[sample], out=out[start : start + rows.shape[0]])
 
 
-def cosine_rows(q: Tensor, k: Tensor) -> Tensor:
-    """Pairwise cosine similarity of q rows against k rows, norms clamped below."""
-    if q.data.ndim != 2 or k.data.ndim != 2 or q.shape[1] != k.shape[1]:
+def _attention_taped(q: Tensor, k: Tensor, v: Tensor, q3: np.ndarray, k3: np.ndarray,
+                     v3: np.ndarray, scale: float) -> Tensor:
+    """attention_rows under a Tape: the five-op chain's arithmetic in one record."""
+    kt = _t(k3).copy()  # the chain's transpose is a contiguous copy
+    z = np.matmul(q3, kt) * scale
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    out = np.matmul(z, v3)
+
+    def fn(g: np.ndarray) -> None:
+        g3 = g.reshape(out.shape)
+        gz = np.matmul(g3, _t(v3))
+        _accum(v, np.matmul(_t(z), g3).reshape(v.shape))
+        gs = z * (gz - (gz * z).sum(axis=-1, keepdims=True)) * scale
+        _accum(q, np.matmul(gs, _t(kt)).reshape(q.shape))
+        _accum(k, _transposed_groups(np.matmul(_t(q3), gs)))
+
+    return _out(out.reshape(q.shape[0], v.shape[1]), fn)
+
+
+def cosine_rows(q: Tensor, k: Tensor, b: int = 1) -> Tensor:
+    """Pairwise cosine similarity of q rows against k rows, norms clamped
+    below, for each of b samples: q [b*M, d], k [b*N, d] -> [b*M, N]."""
+    q3, k3 = _groups(q, b, "cosine_rows"), _groups(k, b, "cosine_rows")
+    if q.shape[1] != k.shape[1]:
         raise ShapeError(f"cosine_rows: {q.shape} vs {k.shape}")
     nq = np.linalg.norm(q.data, axis=1, keepdims=True)
     nk = np.linalg.norm(k.data, axis=1, keepdims=True)
@@ -538,26 +641,31 @@ def cosine_rows(q: Tensor, k: Tensor) -> Tensor:
     mk = nk > NORM_EPS
     nq = np.maximum(nq, NORM_EPS)
     nk = np.maximum(nk, NORM_EPS)
-    qh = q.data / nq
-    kh = k.data / nk
-    out = qh @ kh.T
+    qh = (q.data / nq).reshape(q3.shape)
+    kh = (k.data / nk).reshape(k3.shape)
+    out = np.matmul(qh, _t(kh))
 
     def fn(g: np.ndarray) -> None:
         # d out[i,j]/d q_i = (kh_j - out[i,j] * qh_i) / nq_i; the projection
         # term vanishes where the clamp is active (denominator constant there)
-        gq = (g @ kh - mq * (g * out).sum(axis=1, keepdims=True) * qh) / nq
-        gk = (g.T @ qh - mk * (g * out).sum(axis=0)[:, None] * kh) / nk
-        _accum(q, gq)
-        _accum(k, gk)
+        g3 = g.reshape(out.shape)
+        go = g3 * out
+        row_dot = go.sum(axis=2, keepdims=True)
+        col_dot = go.sum(axis=1)[:, :, None]
+        gq = np.matmul(g3, kh) - mq.reshape(row_dot.shape) * row_dot * qh
+        gk = np.matmul(_t(g3), qh) - mk.reshape(kh.shape[:2] + (1,)) * col_dot * kh
+        _accum(q, gq.reshape(q.shape) / nq)
+        _accum(k, gk.reshape(k.shape) / nk)
 
-    return _out(out, fn)
+    return _out(out.reshape(q.shape[0], k3.shape[1]), fn)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Per-row zero mean / unit variance over the last axis, then affine."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, b: int = 1) -> Tensor:
+    """Per-row zero mean / unit variance over the last axis, then affine, for
+    b samples stacked in x's rows."""
     c = x.shape[-1]
-    if gain.shape != (c,) or bias.shape != (c,):
-        raise ShapeError(f"layer_norm: gain/bias must be ({c},)")
+    if gain.shape != (c,) or bias.shape != (c,) or x.shape[0] % b:
+        raise ShapeError(f"layer_norm: gain/bias must be ({c},), rows {b} samples")
     # the steps of np.mean and np.var, sharing the centred values: same bits
     d = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / c
     var = np.add.reduce(d * d, axis=-1, keepdims=True) / c
@@ -565,10 +673,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xhat = d * inv
 
     def fn(g: np.ndarray) -> None:
-        flat_g = g.reshape(-1, c)
-        flat_x = xhat.reshape(-1, c)
-        _accum(gain, (flat_g * flat_x).sum(axis=0))
-        _accum(bias, flat_g.sum(axis=0))
+        per_g = g.reshape(b, -1, c)
+        per_x = xhat.reshape(b, -1, c)
+        _accum_per_sample(gain, (per_g * per_x).sum(axis=1))
+        _accum_per_sample(bias, per_g.sum(axis=1))
         gx = g * gain.data
         m1 = gx.mean(axis=-1, keepdims=True)
         m2 = (gx * xhat).mean(axis=-1, keepdims=True)
@@ -578,21 +686,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 def _box_sum(a: np.ndarray, window: int) -> np.ndarray:
-    """Sum over a window x window neighborhood, clipped at the borders (HWC).
+    """Sum over a window x window neighborhood, clipped at the borders, of
+    each [H, W, C] map of ``a`` ([H, W, C] or [B, H, W, C]).
 
     ``s`` is the integral image of ``a`` zero-padded by r + 1 rows/columns
     before and r after, so s[k] is the sum of a[:k - r] with k - r clipped to
     [0, h]: pixel i's window sum is s[i + 2r + 1] - s[i] on each axis.
     """
-    h, w = a.shape[0], a.shape[1]
+    h, w = a.shape[-3], a.shape[-2]
     r = window // 2
-    s = np.zeros((h + 2 * r + 1, w + 2 * r + 1) + a.shape[2:], dtype=np.float64)
-    s[r + 1 : r + 1 + h, r + 1 : r + 1 + w] = a
-    np.cumsum(s, axis=0, out=s)
-    np.cumsum(s, axis=1, out=s)
+    s = np.zeros(a.shape[:-3] + (h + 2 * r + 1, w + 2 * r + 1, a.shape[-1]), dtype=np.float64)
+    s[..., r + 1 : r + 1 + h, r + 1 : r + 1 + w, :] = a
+    np.cumsum(s, axis=-3, out=s)
+    np.cumsum(s, axis=-2, out=s)
     lo_i, hi_i = slice(0, h), slice(2 * r + 1, 2 * r + 1 + h)
     lo_j, hi_j = slice(0, w), slice(2 * r + 1, 2 * r + 1 + w)
-    out = s[hi_i, hi_j] - s[lo_i, hi_j] - s[hi_i, lo_j] + s[lo_i, lo_j]
+    out = (s[..., hi_i, hi_j, :] - s[..., lo_i, hi_j, :]
+           - s[..., hi_i, lo_j, :] + s[..., lo_i, lo_j, :])
     return out.astype(a.dtype)
 
 
@@ -616,16 +726,17 @@ def _valid_counts(h: int, w: int, window: int, dtype) -> np.ndarray:
 
 
 def avg_pool_2d(x: Tensor, window: int) -> Tensor:
-    """Shape-preserving average pooling (stride 1) with count-of-valid edges."""
+    """Shape-preserving average pooling (stride 1) with count-of-valid edges,
+    of [H, W, C] or of each sample of [B, H, W, C]."""
     if window % 2 == 0:
         raise ShapeError("avg_pool_2d: window must be odd")
-    if x.data.ndim != 3:
-        raise ShapeError("avg_pool_2d: expects [H, W, C]")
+    if x.data.ndim not in (3, 4):
+        raise ShapeError("avg_pool_2d: expects [H, W, C] or [B, H, W, C]")
     if window == 1:
         def fn_id(g: np.ndarray) -> None:
             _accum(x, g)
         return _out(x.data.copy(), fn_id)
-    h, w, _ = x.shape
+    h, w = x.shape[-3:-1]
     counts = _valid_counts(h, w, window, x.data.dtype)[:, :, None]
     y = _box_sum(x.data, window) / counts
 
@@ -657,47 +768,48 @@ def _interp_matrix(h: int, dtype) -> np.ndarray:
 
 
 def bilinear_upsample_2x(x: Tensor) -> Tensor:
-    if x.data.ndim != 3:
-        raise ShapeError("bilinear_upsample_2x: expects [H, W, C]")
-    h, w, c = x.shape
+    """[H, W, C] -> [2H, 2W, C], or each sample of [B, H, W, C]."""
+    if x.data.ndim not in (3, 4):
+        raise ShapeError("bilinear_upsample_2x: expects [H, W, C] or [B, H, W, C]")
+    h, w = x.shape[-3:-1]
     uh = _interp_matrix(h, x.data.dtype)
     uw = _interp_matrix(w, x.data.dtype)
-    y = np.einsum("ph,hwc->pwc", uh, x.data)
-    y = np.einsum("qw,pwc->pqc", uw, y)
+    y = np.einsum("ph,...hwc->...pwc", uh, x.data)
+    y = np.einsum("qw,...pwc->...pqc", uw, y)
 
     def fn(g: np.ndarray) -> None:
-        gx = np.einsum("qw,pqc->pwc", uw, g)
-        gx = np.einsum("ph,pwc->hwc", uh, gx)
+        gx = np.einsum("qw,...pqc->...pwc", uw, g)
+        gx = np.einsum("ph,...pwc->...hwc", uh, gx)
         _accum(x, gx.astype(x.data.dtype))
 
     return _out(np.ascontiguousarray(y), fn)
 
 
 def space_to_depth(x: Tensor, factor: int) -> Tensor:
-    """[H, W, C] -> [H/f, W/f, f*f*C], stacking each f x f patch channelwise."""
-    if x.data.ndim != 3:
-        raise ShapeError("space_to_depth: expects [H, W, C]")
-    h, w, c = x.shape
+    """[H, W, C] -> [H/f, W/f, f*f*C], stacking each f x f patch channelwise;
+    or the same for each sample of [B, H, W, C]."""
+    if x.data.ndim not in (3, 4):
+        raise ShapeError("space_to_depth: expects [H, W, C] or [B, H, W, C]")
+    h, w, c = x.shape[-3:]
     if h % factor or w % factor:
         raise ShapeError(f"space_to_depth: {h}x{w} not divisible by {factor}")
     hh, ww = h // factor, w // factor
-
-    def _fwd(a: np.ndarray) -> np.ndarray:
-        return (
-            a.reshape(hh, factor, ww, factor, c)
-            .transpose(0, 2, 1, 3, 4)
-            .reshape(hh, ww, factor * factor * c)
-        )
+    lead = x.shape[:-3]
 
     def fn(g: np.ndarray) -> None:
         ga = (
-            g.reshape(hh, ww, factor, factor, c)
-            .transpose(0, 2, 1, 3, 4)
-            .reshape(h, w, c)
+            g.reshape(-1, hh, ww, factor, factor, c)
+            .transpose(0, 1, 3, 2, 4, 5)
+            .reshape(x.shape)
         )
-        _accum(x, np.ascontiguousarray(ga))
+        _accum(x, ga)
 
-    return _out(np.ascontiguousarray(_fwd(x.data)), fn)
+    out = (
+        x.data.reshape(-1, hh, factor, ww, factor, c)
+        .transpose(0, 1, 3, 2, 4, 5)
+        .reshape(lead + (hh, ww, factor * factor * c))
+    )
+    return _out(out, fn)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -706,10 +818,12 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     sizes = [p.shape[0] for p in parts]
 
     def fn(g: np.ndarray) -> None:
-        ofs = 0
-        for p, n in zip(parts, sizes):
+        # last part first, as records made one after another would run, so
+        # that a tensor given more than once adds its gradients in that order
+        ofs = sum(sizes)
+        for p, n in zip(reversed(parts), reversed(sizes)):
+            ofs -= n
             _accum(p, g[ofs : ofs + n])
-            ofs += n
 
     return _out(np.concatenate([p.data for p in parts], axis=0), fn)
 
@@ -737,13 +851,18 @@ def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
     return _out(np.ascontiguousarray(x.data[..., start:stop]), fn)
 
 
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    def fn(g: np.ndarray) -> None:
-        full = np.zeros_like(x.data)
-        full[start:stop] = g
-        _accum(x, full)
+def slice_rows(x: Tensor, start: int, stop: int, b: int = 1) -> Tensor:
+    """Rows start:stop of each of b equal groups of x's rows, stacked."""
+    if x.shape[0] % b:
+        raise ShapeError(f"slice_rows: {x.shape[0]} rows are not {b} groups")
+    groups = x.data.reshape((b, -1) + x.shape[1:])
 
-    return _out(x.data[start:stop].copy(), fn)
+    def fn(g: np.ndarray) -> None:
+        full = np.zeros_like(groups)
+        full[:, start:stop] = g.reshape((b, -1) + x.shape[1:])
+        _accum(x, full.reshape(x.shape))
+
+    return _out(np.array(groups[:, start:stop]).reshape((-1,) + x.shape[1:]), fn)
 
 
 def reshape(x: Tensor, shape: Iterable[int]) -> Tensor:
@@ -755,11 +874,16 @@ def reshape(x: Tensor, shape: Iterable[int]) -> Tensor:
     return _out(x.data.reshape(shape), fn)
 
 
-def sum_all(x: Tensor) -> Tensor:
-    def fn(g: np.ndarray) -> None:
-        _accum(x, np.full_like(x.data, g.reshape(-1)[0]))
+def sum_all(x: Tensor, b: int = 1) -> Tensor:
+    """[b]: the sum of each of b equal parts of x (of all of x when b = 1)."""
+    if x.data.size % b:
+        raise ShapeError(f"sum_all: {x.data.size} elements are not {b} parts")
+    parts = x.data.reshape(b, -1)
 
-    return _out(np.asarray([x.data.sum()], dtype=x.data.dtype), fn)
+    def fn(g: np.ndarray) -> None:
+        _accum(x, np.broadcast_to(g[:, None], parts.shape).reshape(x.shape))
+
+    return _out(parts.sum(axis=1), fn)
 
 
 def mean_all(x: Tensor) -> Tensor:

@@ -26,6 +26,7 @@ from bisource.cli import (
     GRADCHECK_SCOPES,
     _eval_f1,
     _scope_ada,
+    _scope_batch,
     _scope_ceb,
     _scope_dab,
     _scope_model,
@@ -85,7 +86,7 @@ def test_criterion_1_gradients():
     t0 = time.perf_counter()
     builders = {
         "op": _scope_op, "ada": _scope_ada, "ceb": _scope_ceb,
-        "dab": _scope_dab, "model": _scope_model,
+        "dab": _scope_dab, "model": _scope_model, "batch": _scope_batch,
     }
     worst = 0.0
     ok = True
@@ -93,8 +94,9 @@ def test_criterion_1_gradients():
         for scope in GRADCHECK_SCOPES:
             rng = Rng(seed).spawn(GRADCHECK_SCOPES.index(scope))
             f, params = builders[scope](rng)
-            tol = 1e-3 if scope == "model" else 1e-4
-            cap = 1 if scope == "model" else 2
+            whole_model = scope in ("model", "batch")
+            tol = 1e-3 if whole_model else 1e-4
+            cap = 1 if whole_model else 2
             rep = grad_check(f, params, h=1e-5, tol=tol,
                              max_elements_per_param=cap, seed=seed)
             worst = max(worst, rep.worst.rel_error)

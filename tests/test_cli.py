@@ -170,6 +170,11 @@ def test_gradcheck_op_scope_passes(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_gradcheck_batch_scope_passes(capsys):
+    assert run_cli("gradcheck", "--scope", "batch", "--seed", "0") == 0
+    assert capsys.readouterr().out.startswith("batch: PASS")
+
+
 def test_gradcheck_impossible_tolerance_fails(capsys):
     assert run_cli("gradcheck", "--scope", "op", "--tol", "0") == 1
 

@@ -573,3 +573,208 @@ def test_rank_two_and_single_channel_images_are_the_same_input():
     i1, i2 = rand_pair(rng)
     want = ENTRY_MODEL.predict_scores(i1, i2)
     np.testing.assert_array_equal(ENTRY_MODEL.predict_scores(i1[:, :, None], i2), want)
+
+
+# -- the batch axis -----------------------------------------------------------------
+
+
+def _gated_model(seed=0, dtype=np.float32, **kw):
+    m = BiSourceModel(small_config(**kw), seed=seed, dtype=dtype)
+    rng = Rng(seed + 100)
+    for name, p in m.registry.named().items():
+        if name.endswith("gate"):
+            p.assign(rng.uniform(p.value.shape, -0.5, 0.5, dtype))
+    return m
+
+
+def _batch(rng, b, head="binary", n_classes=2, hw=(32, 32)):
+    samples = []
+    for _ in range(b):
+        i1, i2 = rand_pair(rng, hw)
+        if head == "multiclass":
+            target = rng.integers(0, n_classes, hw)
+        elif head == "density":
+            target = rng.uniform(hw, 0.0, 0.01).astype(np.float32)
+        else:
+            target = (rng.uniform(hw, 0.0, 1.0) > 0.5).astype(np.float32)
+        samples.append((i1, i2, target))
+    return samples
+
+
+HEADS = {"binary": {}, "multiclass": {"head": "multiclass", "n_classes": 3}, "density": {"head": "density"}}
+
+
+@pytest.mark.parametrize("head", sorted(HEADS))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_each_sample_of_a_batch_gets_its_output_alone(head, dtype):
+    m = _gated_model(dtype=dtype, **HEADS[head])  # 32 px: one-row products at 1 x 1
+    samples = _batch(Rng(40), 8, **HEADS[head])
+    alone = [m.forward(m._as_input(i1), m._as_input(i2)).data.tobytes() for i1, i2, _ in samples]
+    for b in (1, 2, 8):
+        img1, img2, _ = m.stack_batch(samples[:b])
+        out = m.forward(img1, img2).data
+        assert out.shape[0] == b
+        assert [out[i].tobytes() for i in range(b)] == alone[:b]
+
+
+def _tape_records_per_step(monkeypatch, b: int) -> int:
+    m = _gated_model()
+    opt = AdamW(m.parameters(), lr=1e-3)
+    counted = []
+    record = Tape.record
+    monkeypatch.setattr(Tape, "record", lambda tape, out, fn: counted.append(1) or record(tape, out, fn))
+    train_step(m, _batch(Rng(41), b), opt)
+    monkeypatch.setattr(Tape, "record", record)
+    return len(counted)
+
+
+def test_tape_records_per_train_step_do_not_grow_with_the_batch(monkeypatch):
+    one = _tape_records_per_step(monkeypatch, 1)
+    assert one == _tape_records_per_step(monkeypatch, 8)
+    assert one < 600
+
+
+def test_batch_loss_is_the_mean_of_the_samples_losses():
+    for head in sorted(HEADS):
+        m = _gated_model(dtype=np.float64, **HEADS[head])
+        samples = _batch(Rng(42), 3, **HEADS[head])
+        img1, img2, target = m.stack_batch(samples)
+        batched = m.loss(m.forward(img1, img2), target).item()
+        each = [m.sample_loss(*s).item() for s in samples]
+        assert batched == pytest.approx(sum(each) / 3, rel=1e-12, abs=0), head
+
+
+def _per_sample_step_grads(m, samples):
+    """Gradients of the mean of per-sample losses, each sample recorded after
+    the previous one on one tape: a step of B forward passes of one pair."""
+    for p in m.parameters():
+        p.zero_grad()
+    with Tape() as tape:
+        total = m.sample_loss(*samples[0])
+        for s in samples[1:]:
+            total = T.add(total, m.sample_loss(*s))
+        T.backward(T.mul_scalar(total, 1.0 / len(samples)), tape)
+    return {p.name: p.grad.tobytes() for p in m.parameters()}
+
+
+@pytest.mark.parametrize("head, b", [("binary", 8), ("binary", 3), ("density", 4), ("multiclass", 2)])
+def test_a_batched_step_has_the_gradients_of_per_sample_steps(head, b):
+    # each sample's products are its own, and the weight gradients add the
+    # samples last first, as the records of per-sample passes run
+    m = _gated_model(input_hw=(64, 64), **HEADS[head])
+    samples = _batch(Rng(46), b, hw=(64, 64), **HEADS[head])
+    want = _per_sample_step_grads(m, samples)
+    train_step(m, samples, AdamW(m.parameters(), lr=0.0))
+    assert {p.name: p.grad.tobytes() for p in m.parameters()} == want
+
+
+def _backward_keeping_every_grad(loss, tape):
+    # intermediate gradients freed only once the whole pass is done
+    loss.grad = np.ones_like(loss.data)
+    seeded = []
+    for out, fn in reversed(tape._records):
+        if out.grad is None:
+            continue
+        fn(out.grad)
+        seeded.append(out)
+    for t in seeded:
+        t.grad = None
+    tape.clear()
+
+
+def test_backward_frees_each_gradient_once_its_closure_has_run():
+    samples = _batch(Rng(43), 2)
+    grads = []
+    for run_backward in (_backward_keeping_every_grad, T.backward):
+        m = _gated_model()
+        for p in m.parameters():
+            p.zero_grad()
+        img1, img2, target = m.stack_batch(samples)
+        with Tape() as tape:
+            loss = m.loss(m.forward(img1, img2), target)
+            records = tape._records
+            outs = [out for out, _ in records]
+            late = []
+
+            def checked(i, fn):
+                def run(g):
+                    late.append(any(t.grad is not None for t in outs[i + 1:]))
+                    fn(g)
+                return run
+
+            if run_backward is T.backward:
+                records[:] = [(out, checked(i, fn)) for i, (out, fn) in enumerate(records)]
+            run_backward(loss, tape)
+        if run_backward is T.backward:
+            assert late and not any(late)
+            assert all(t.grad is None for t in outs)
+        grads.append({p.name: p.grad.tobytes() for p in m.parameters()})
+    assert grads[0] == grads[1]
+
+
+def test_train_step_checks_the_batch_before_the_tape_opens():
+    m = _gated_model()
+    opt = AdamW(m.parameters(), lr=1e-3)
+    good = _batch(Rng(44), 3)
+    small = _batch(Rng(45), 1, hw=(64, 64))[0]
+    nan = good[1][0].copy()
+    nan[3, 4] = np.nan
+    cases = [
+        ([], ValueError, "^train_step: empty batch$"),
+        (good[:2] + [small], ShapeError, "sample 2: image shape"),
+        ([good[0], (good[1][0], good[1][1], good[1][2][:16])], ShapeError, "sample 1: target shape"),
+        ([good[0], (nan, good[1][1], good[1][2])], ValueError, "sample 1: img1: NaN"),
+        ([good[0], good[1], (good[2][0], good[2][1][:, :8], good[2][2])], ShapeError, "sample 2: img2"),
+    ]
+    with Tape():  # a second Tape would raise RuntimeError if train_step reached it
+        for batch, kind, message in cases:
+            with pytest.raises(kind, match=message) as exc:
+                train_step(m, batch, opt)
+            assert type(exc.value) is kind
+    assert opt.t == 0
+
+
+def _checkpoint_with(tmp_path, header=None, arrays=None):
+    m = BiSourceModel(small_config(), seed=0)
+    path = tmp_path / "ckpt"
+    save_tensor_dir(path, m.state_arrays() if arrays is None else arrays(m.state_arrays()),
+                    {"model_config": m.config.to_json(), "seed": 0} if header is None else header)
+    return path
+
+
+@pytest.mark.parametrize("header, key", [
+    ({}, "model_config"),
+    ({"model_config": [1, 2]}, "model_config"),
+    ({"model_config": {"head": "nope"}}, "model_config"),
+    ({"model_config": {"bogus": 1}}, "model_config"),
+    ({"model_config": small_config().to_json(), "seed": "x"}, "seed"),
+])
+def test_checkpoint_header_error_names_the_file_and_the_key(tmp_path, header, key):
+    path = _checkpoint_with(tmp_path, header=header)
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(path)
+    assert type(exc.value) is ValueError
+    assert str(exc.value).startswith(str(path)) and key in str(exc.value)
+
+
+def _drop_first(a):
+    a.pop(next(iter(a)))
+    return a
+
+
+def _widen_first(a):
+    name = next(iter(a))
+    a[name] = np.zeros(a[name].shape + (1,), dtype=np.float32)
+    return a
+
+
+@pytest.mark.parametrize("arrays, fault", [
+    (_drop_first, "missing"),
+    (lambda a: {**a, "enc1.stale": np.zeros(3, dtype=np.float32)}, "unknown"),
+    (_widen_first, "shape"),
+])
+def test_checkpoint_state_error_names_the_file(tmp_path, arrays, fault):
+    path = _checkpoint_with(tmp_path, arrays=arrays)
+    with pytest.raises(ValueError, match=fault) as exc:
+        load_checkpoint(path)
+    assert str(exc.value).startswith(str(path))

@@ -335,6 +335,14 @@ def _op_builders(rng: Rng):
     att_q = p64(rng, (5, 4), "att_q")
     att_k = p64(rng, (6, 4), "att_k")
     att_v = p64(rng, (6, 3), "att_v")
+    # batched forms at b = 2, drawn after the rest so their draws stay put
+    bq = p64(rng, (2 * 5, 4), "bq")
+    bk = p64(rng, (2 * 6, 4), "bk")
+    bv = p64(rng, (2 * 6, 3), "bv")
+    bgrid = p64(rng, (2, 4, 4, 2), "bgrid")
+    bvec = p64(rng, (3,), "bvec")
+    bgain = p64(rng, (4,), "bgain")
+    bshift = p64(rng, (4,), "bshift")
     return {
         "matmul": (lambda: T.matmul(a.value, b.value), [a, b]),
         "transpose": (lambda: T.transpose(a.value), [a]),
@@ -369,6 +377,25 @@ def _op_builders(rng: Rng):
         "bce_with_logits": (lambda: T.bce_with_logits(logits.value, target), [logits]),
         "softmax_cross_entropy": (lambda: T.softmax_cross_entropy(cls_logits.value, labels), [cls_logits]),
         "matmul_sq": (lambda: T.matmul(sq.value, sq.value), [sq]),
+        "attention_rows_b2": (
+            lambda: T.attention_rows(bq.value, bk.value, bv.value, 0.7, 2), [bq, bk, bv],
+        ),
+        "cosine_rows_b2": (lambda: T.cosine_rows(bq.value, bk.value, 2), [bq, bk]),
+        "batch_matmul_b2": (
+            lambda: T.batch_matmul(T.transpose(bk.value, 2), bv.value, 2), [bk, bv],
+        ),
+        "transpose_b2": (lambda: T.transpose(bv.value, 2), [bv]),
+        "avg_pool_3_b2": (lambda: T.avg_pool_2d(bgrid.value, 3), [bgrid]),
+        "avg_pool_5_b2": (lambda: T.avg_pool_2d(bgrid.value, 5), [bgrid]),
+        "bilinear_upsample_2x_b2": (lambda: T.bilinear_upsample_2x(bgrid.value), [bgrid]),
+        "space_to_depth_b2": (lambda: T.space_to_depth(bgrid.value, 2), [bgrid]),
+        "slice_rows_b2": (lambda: T.slice_rows(bk.value, 1, 4, 2), [bk]),
+        "sum_all_b2": (lambda: T.sum_all(bq.value, 2), [bq]),
+        "matmul_b2": (lambda: T.matmul(bk.value, b.value, 2), [bk, b]),
+        "add_bias_b2": (lambda: T.add_bias(bv.value, bvec.value, 2), [bv, bvec]),
+        "scale_channels_b2": (lambda: T.scale_channels(bv.value, bvec.value, 2), [bv, bvec]),
+        "layer_norm_b2": (lambda: T.layer_norm(bk.value, bgain.value, bshift.value, 2),
+                          [bk, bgain, bshift]),
     }
 
 
@@ -436,9 +463,113 @@ def test_attention_rows_taped_is_the_five_op_chain(dtype):
     out, records, grads = run(T.attention_rows)
     want_out, want_records, want_grads = run(_attention_chain)
     np.testing.assert_array_equal(out, want_out)
-    assert records == want_records == 5
+    assert (records, want_records) == (1, 5)
     for g, w in zip(grads, want_grads):
         np.testing.assert_array_equal(g, w)
+
+
+def _samples(b: int, rows: int, width: int, dtype) -> Tensor:
+    return Tensor(Rng(rows * width + b).normal((b * rows, width), dtype=dtype))
+
+
+def _rows_of(t: Tensor, b: int, i: int) -> bytes:
+    return t.data.reshape((b, -1) + t.shape[1:])[i].tobytes()
+
+
+def _row_op_pairs(b: int, dtype):
+    """(batched call, call on sample i alone) for each op that takes b."""
+    q, k, v = _samples(b, 9, 4, dtype), _samples(b, 7, 4, dtype), _samples(b, 7, 3, dtype)
+    w = _samples(b, 4, 7, dtype)
+
+    def alone(x: Tensor, i: int) -> Tensor:
+        return Tensor(x.data.reshape((b, -1) + x.shape[1:])[i])
+
+    return {
+        "attention_rows": (lambda: T.attention_rows(q, k, v, 0.3, b),
+                           lambda i: T.attention_rows(alone(q, i), alone(k, i), alone(v, i), 0.3)),
+        "cosine_rows": (lambda: T.cosine_rows(q, k, b),
+                        lambda i: T.cosine_rows(alone(q, i), alone(k, i))),
+        "batch_matmul": (lambda: T.batch_matmul(w, k, b),
+                         lambda i: T.matmul(alone(w, i), alone(k, i))),
+        "transpose": (lambda: T.transpose(q, b), lambda i: T.transpose(alone(q, i))),
+        "matmul": (lambda: T.matmul(q, Tensor(w.data[:4]), b),
+                   lambda i: T.matmul(alone(q, i), Tensor(w.data[:4]))),
+        "slice_rows": (lambda: T.slice_rows(q, 2, 6, b), lambda i: T.slice_rows(alone(q, i), 2, 6)),
+        "sum_all": (lambda: T.sum_all(q, b), lambda i: T.sum_all(alone(q, i))),
+    }
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+@pytest.mark.parametrize("b", [2, 5])
+def test_ops_that_take_b_give_each_sample_its_result_alone(b, dtype, taped):
+    for name, (batched, single) in _row_op_pairs(b, dtype).items():
+        if taped:
+            with Tape():
+                got = batched()
+                want = [single(i).data.tobytes() for i in range(b)]
+        else:
+            got = batched()
+            want = [single(i).data.tobytes() for i in range(b)]
+        assert [_rows_of(got, b, i) for i in range(b)] == want, name
+    grid = Tensor(Rng(b).normal((b, 8, 8, 3), dtype=dtype))
+    for op in (lambda x: T.avg_pool_2d(x, 3), lambda x: T.avg_pool_2d(x, 5),
+               T.bilinear_upsample_2x, lambda x: T.space_to_depth(x, 2)):
+        got = op(grid).data
+        for i in range(b):
+            assert got[i].tobytes() == op(Tensor(grid.data[i])).data.tobytes()
+
+
+@pytest.mark.parametrize("op", ["matmul", "add_bias", "scale_channels", "layer_norm"])
+def test_weight_gradients_of_a_batch_are_those_of_one_record_per_sample(op):
+    b = 3
+    x = _samples(b, 5, 4, np.float32)
+    calls = {
+        "matmul": lambda x, p, *n: T.matmul(x, p[0], *n),
+        "add_bias": lambda x, p, *n: T.add_bias(x, p[0], *n),
+        "scale_channels": lambda x, p, *n: T.scale_channels(x, p[0], *n),
+        "layer_norm": lambda x, p, *n: T.layer_norm(x, p[0], p[1], *n),
+    }
+    shapes = {"matmul": [(4, 6)], "layer_norm": [(4,), (4,)]}.get(op, [(4,)])
+
+    def grads(batched: bool) -> list[bytes]:
+        params = [Parameter(Tensor(Rng(j).normal(sh, dtype=np.float32)), f"p{j}")
+                  for j, sh in enumerate(shapes)]
+        values = [p.value for p in params]
+        with Tape() as tape:
+            if batched:
+                out = calls[op](x, values, b)
+                loss = T.sum_all(T.mul(out, out))
+            else:  # one sample after another, as separate records
+                loss = None
+                for i in range(b):
+                    out = calls[op](Tensor(x.data[i * 5 : (i + 1) * 5]), values)
+                    part = T.sum_all(T.mul(out, out))
+                    loss = part if loss is None else T.add(loss, part)
+            backward(loss, tape)
+        return [p.grad.tobytes() for p in params]
+
+    assert grads(True) == grads(False)
+
+
+def test_attention_rows_untaped_samples_see_only_their_keys(two_cpus):
+    # a batch large enough for the helper thread, with blocks crossing samples
+    b, rows = 3, 300
+    q, k, v = (_samples(b, rows, 16, np.float32) for _ in range(3))
+    assert b * rows * rows > T.ATTN_HELPER_SCORES
+    got = T.attention_rows(q, k, v, 0.3, b)
+    for i in range(b):
+        alone = [Tensor(x.data[i * rows : (i + 1) * rows]) for x in (q, k, v)]
+        assert _rows_of(got, b, i) == T.attention_rows(*alone, 0.3).data.tobytes()
+
+
+def test_ops_that_take_b_reject_rows_that_do_not_split():
+    x = _samples(1, 7, 4, F64)
+    for call in (lambda: T.attention_rows(x, x, x, 1.0, 2), lambda: T.cosine_rows(x, x, 2),
+                 lambda: T.batch_matmul(x, T.transpose(x), 2), lambda: T.transpose(x, 2),
+                 lambda: T.slice_rows(x, 0, 1, 2), lambda: T.sum_all(x, 3)):
+        with pytest.raises(ShapeError):
+            call()
 
 
 @pytest.mark.parametrize("rows", ATTN_ROWS)
@@ -547,14 +678,23 @@ def test_attention_rows_threads_claim_every_block_once(monkeypatch, two_cpus):
     assert helper_blocks > 0
 
 
-def test_attention_rows_helper_starts_only_beyond_two_blocks_on_two_cpus(monkeypatch):
+def _attention_call(b: int, rows: int, keys: int) -> None:
+    rng = Rng(rows)
+    q = Tensor(rng.normal((b * rows, 16), dtype=np.float32))
+    kv = Tensor(rng.normal((b * keys, 16), dtype=np.float32))
+    T.attention_rows(q, kv, kv, 0.3, b)
+
+
+def test_attention_rows_helper_starts_only_beyond_the_score_threshold_on_two_cpus(monkeypatch):
     monkeypatch.setattr(T, "_helper", None)
     monkeypatch.setattr(T, "_CPUS", 1)
-    _attention_bytes(4096, np.float32)
+    _attention_call(1, 4096, 300)
     monkeypatch.setattr(T, "_CPUS", 2)
-    _attention_bytes(2 * T.ATTN_ROW_BLOCK, np.float32)
+    assert 4 * 256 * 256 == T.ATTN_HELPER_SCORES
+    _attention_call(4, 256, 256)  # at the threshold
+    _attention_call(1, T.ATTN_ROW_BLOCK, 4096)  # one block
     assert T._helper is None
-    _attention_bytes(2 * T.ATTN_ROW_BLOCK + 1, np.float32)
+    _attention_call(1, 1025, 256)
     assert T._helper is not None
     T._helper.shutdown()
 
