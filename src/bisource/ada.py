@@ -212,7 +212,8 @@ class ProtoAttention(GatedAttention):
 
     def aggregate(self, k_fw: Tensor, v_fw: Tensor, b: int = 1) -> Tensor:
         """Absorb each sample's source tokens into its own copy of the
-        prototype bank (convex token mixtures): [b*L, D] -> [b*K, D]."""
+        prototype bank (the bank itself at b = 1), as convex token
+        mixtures: [b*L, D] -> [b*K, D]."""
         bank = T.concat_rows([self.prototypes.value] * b)
         q_fw = T.matmul(bank, self.w_q_fw.value, b)
         sim = T.cosine_rows(q_fw, k_fw, b)  # [b*K, L]

@@ -30,6 +30,11 @@ may run on two or more CPUs.  The helper runs numpy only: it creates no
 Tensor, calls no public op and records nothing, so ``alloc_stats``, the Tape
 and anything that wraps the public ops see the call from the calling thread
 alone.  Blocks are the same with one CPU or two, so the output bits are too.
+The untaped path divides each block's product with the values and a ones
+column instead of normalising the probabilities, and skips the max shift for
+a sample whose scores are bounded by ATTN_SHIFT_LIMIT; its output agrees with
+the taped path's to float rounding (a few 1e-6 of the peak in float32), not
+bit for bit.
 """
 
 from __future__ import annotations
@@ -91,17 +96,23 @@ NORM_EPS = 1e-8
 LN_EPS = 1e-5
 # Query rows per score block in untaped attention_rows; with at most two
 # blocks in flight, live scores stay within 256 x N.  On a 2-vCPU VM (float32,
-# d = 16, one BLAS thread per thread) a 4096-token call took 66 ms on one
-# thread at 128-256 rows, 76-82 ms at 64, 512 and 1024, 129 ms in one block
-# and 190 ms as the five-op chain, and 69 ms on one thread against 38 ms
-# shared with the helper at 128 rows.
+# d = 16, one BLAS thread per thread) a 2 x 4096-token call took 86.7 / 85.3 /
+# 82.2 / 87.8 ms on one thread at 64 / 128 / 256 / 512 rows and 42.8 / 41.5 /
+# 43.0 / 43.9 ms shared with the helper (medians of 7 alternating rounds):
+# the fastest on two threads, where such calls run, and half the live scores
+# of 256.
 ATTN_ROW_BLOCK = 128
 # The helper thread takes part only in calls of more than this many scores
-# (b x M x N).  Medians of alternating one- and two-thread calls on the same
-# VM, two threads against one: b x 256 tokens 1.12 (b = 2), 1.09 (4) and
-# 1.06 (8) times slower; 1 x 384 1.22 and 1 x 512 1.07 times slower; 2 x 512
-# 0.80, 1 x 1024 0.67 and 2 x 1024 (d = 32) 0.63 of the time.
+# (b x M x N).  Medians of 15 alternating one- and two-thread calls on the
+# same VM, two threads against one: at or below it, b x 256 tokens 1.20
+# (b = 2) and 1.13 (4), 1 x 384 1.00 and 1 x 512 0.96 of the time; above it,
+# 8 x 256 1.02, 2 x 512 0.82, 1 x 1024 0.72 and 2 x 1024 (d = 32) 0.66.
 ATTN_HELPER_SCORES = 2**18
+# Untaped attention_rows takes exp of a sample's raw scores, without the max
+# shift, when its bound on |score| (_attention_shifts) is at most this:
+# exp(+-30) = 1.1e13 and 9.4e-14 leave room in float32, whose largest value
+# is 3.4e38, for row sums over billions of keys.
+ATTN_SHIFT_LIMIT = 30.0
 
 try:
     _CPUS = len(os.sched_getaffinity(0))  # the CPUs this process may run on
@@ -544,8 +555,18 @@ def attention_rows(q: Tensor, k: Tensor, v: Tensor, scale: float, b: int = 1) ->
     ATTN_ROW_BLOCK query rows at a time, by this thread and, for calls of
     more than one block and more than ATTN_HELPER_SCORES scores on two or
     more CPUs, the helper thread.  Every block sees all of its sample's
-    keys, so each row's softmax is exact, and no more than
-    2 x ATTN_ROW_BLOCK x N scores are held at once.
+    keys, and no more than 2 x ATTN_ROW_BLOCK x N scores are held at once.
+    A block makes two elementwise passes over its scores when they need no
+    shift: exp, and the product with the sample's values and a ones column,
+    which gives each row's sum p v and sum p; the [rows, dv] quotient is the
+    output.  The exp is of the raw scores when the sample's bound
+    max_i |q_i| max_j |k_j| on them is at most ATTN_SHIFT_LIMIT and the
+    value product cannot overflow; otherwise each row is first shifted by
+    its max plus ln N.  The decision is the sample's own, so a batch's
+    samples keep their one-sample bits.  The untaped output is not the
+    taped one bit for bit: in float32 both lie within a few 1e-6 of the
+    output's peak from a float64 replay, and no input for which the taped
+    path is finite makes this path raise.
     """
     if (q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2
             or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]
@@ -556,21 +577,25 @@ def attention_rows(q: Tensor, k: Tensor, v: Tensor, scale: float, b: int = 1) ->
         return _attention_taped(q, k, v, q3, k3, v3, float(scale))
     qs = q.data * float(scale)
     kt = _t(k3)
-    out = np.empty((q.shape[0], v.shape[1]), dtype=np.result_type(qs, kt, v.data))
-    m = q3.shape[1]
+    dtype = np.result_type(qs, kt, v.data)
+    m, n, dv = q3.shape[1], k3.shape[1], v.shape[1]
+    shift = _attention_shifts(qs.reshape(q3.shape), k3, v3)
+    # each sample's values and a ones column: one product gives sum p v and sum p
+    va = np.empty((b, n, dv + 1), dtype=dtype)
+    va[:, :, :dv] = v3
+    va[:, :, dv] = 1
+    out = np.empty((q.shape[0], dv), dtype=dtype)
     n_blocks = b * -(-m // ATTN_ROW_BLOCK)
-    scores = b * m * k3.shape[1]
-    threads = 2 if n_blocks > 1 and scores > ATTN_HELPER_SCORES and _CPUS >= 2 else 1
-    bufs = np.empty((threads, min(ATTN_ROW_BLOCK, m), k3.shape[1]),
-                    dtype=np.result_type(qs, kt))
+    threads = 2 if n_blocks > 1 and b * m * n > ATTN_HELPER_SCORES and _CPUS >= 2 else 1
+    bufs = np.empty((threads, min(ATTN_ROW_BLOCK, m), n), dtype=np.result_type(qs, kt))
     # shared by both threads: each next() claims one block, atomically under the GIL
     blocks = iter(range(n_blocks))
     helper = None
     if threads == 2:
         helper = _attention_helper().submit(
-            _attention_blocks, qs, kt, v3, out, blocks, bufs[1])
+            _attention_blocks, qs, kt, va, shift, out, blocks, bufs[1])
     try:
-        _attention_blocks(qs, kt, v3, out, blocks, bufs[0])
+        _attention_blocks(qs, kt, va, shift, out, blocks, bufs[0])
     finally:
         # never return or raise while the helper may still write `out`; a
         # helper that has not started yet is cancelled rather than awaited
@@ -579,33 +604,65 @@ def attention_rows(q: Tensor, k: Tensor, v: Tensor, scale: float, b: int = 1) ->
     return _out(out, None)
 
 
-def _attention_blocks(qs: np.ndarray, kt: np.ndarray, v: np.ndarray, out: np.ndarray,
-                      blocks: Iterator[int], buf: np.ndarray) -> None:
+def _attention_shifts(qs3: np.ndarray, k3: np.ndarray, v3: np.ndarray) -> list[bool]:
+    """Which of b samples' scores untaped attention shifts by the row max.
+
+    A sample's scores obey |s_ij| <= bound = max_i |q_i| max_j |k_j|.  At
+    bound <= ATTN_SHIFT_LIMIT every exp(s_ij) lies within exp(+-bound), so
+    exp of the raw scores neither overflows nor underflows, and no row sum
+    (at most N exp(bound)) does; the value product, at most
+    N exp(bound) max|v|, must also fit.  A NaN or Inf in q, k or v fails the
+    comparisons, so that sample is shifted and the row check reports it.
+    """
+    # einsum warns of no overflow; a square past the dtype's range is inf
+    q2 = np.einsum("bmd,bmd->bm", qs3, qs3).max(axis=1, initial=0).tolist()
+    k2 = np.einsum("bnd,bnd->bn", k3, k3).max(axis=1, initial=0).tolist()
+    vmax = np.abs(v3).max(axis=(1, 2), initial=0).tolist()
+    n, room = k3.shape[1], float(np.finfo(np.result_type(qs3, k3, v3)).max) / 4
+    shifts = []
+    for a, c, vm in zip(q2, k2, vmax):
+        bound = math.sqrt(a * c)
+        shifts.append(not (bound <= ATTN_SHIFT_LIMIT and n * math.exp(bound) * vm <= room))
+    return shifts
+
+
+def _attention_blocks(qs: np.ndarray, kt: np.ndarray, va: np.ndarray, shift: list[bool],
+                      out: np.ndarray, blocks: Iterator[int], buf: np.ndarray) -> None:
     """Fill the blocks of ``out`` that this thread takes from ``blocks`` (numpy only).
 
-    ``kt`` [b, d, N] and ``v`` [b, N, dv] hold each sample's keys and values;
-    ``qs`` and ``out`` hold the samples' query and output rows one after the
-    other, and block i covers rows of sample i // (blocks per sample).
+    ``kt`` [b, d, N] and ``va`` [b, N, dv + 1] hold each sample's keys, and
+    its values with a ones column; ``shift`` says which samples' scores
+    are shifted (``_attention_shifts``).  ``qs`` and ``out`` hold the
+    samples' query and output rows one after the other, and block i covers
+    rows of sample i // (blocks per sample).
     """
     m = qs.shape[0] // kt.shape[0]
     per_sample = -(-m // ATTN_ROW_BLOCK)
-    for i in blocks:
-        sample, block = divmod(i, per_sample)
-        start = sample * m + block * ATTN_ROW_BLOCK
-        rows = qs[start : start + min(ATTN_ROW_BLOCK, m - block * ATTN_ROW_BLOCK)]
-        z = buf[: rows.shape[0]]
-        np.matmul(rows, kt[sample], out=z)
-        z -= z.max(axis=1, keepdims=True)
-        np.exp(z, out=z)
-        total = z.sum(axis=1, keepdims=True)
-        # after the max shift each row holds exp(0) = 1 and no entry above
-        # it, so a row's probabilities are finite exactly when its sum is
-        if not np.isfinite(total).all():
-            for _ in blocks:  # take the rest, so that the other thread stops too
-                pass
-            raise _non_finite("attention_rows", out)
-        z /= total
-        np.matmul(z, v[sample], out=out[start : start + rows.shape[0]])
+    dv = out.shape[1]
+    log_n = math.log(max(kt.shape[2], 1))
+    pv = np.empty((buf.shape[0], dv + 1), dtype=out.dtype)
+    # a NaN or Inf score is reported by the row check below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in blocks:
+            sample, block = divmod(i, per_sample)
+            start = sample * m + block * ATTN_ROW_BLOCK
+            rows = qs[start : start + min(ATTN_ROW_BLOCK, m - block * ATTN_ROW_BLOCK)]
+            z, o = buf[: rows.shape[0]], pv[: rows.shape[0]]
+            np.matmul(rows, kt[sample], out=z)
+            if shift[sample]:
+                # each row's largest entry becomes exp(-ln N) = 1/N and none is
+                # above it, so sum p v stays within max|v|, as the taped path's does
+                z -= z.max(axis=1, keepdims=True) + log_n
+            np.exp(z, out=z)
+            np.matmul(z, va[sample], out=o)
+            total = o[:, dv:]
+            # no probability is negative, so a row's are all finite exactly
+            # when their sum, the product with the ones column, is
+            if not np.isfinite(total).all():
+                for _ in blocks:  # take the rest, so that the other thread stops too
+                    pass
+                raise _non_finite("attention_rows", out)
+            np.divide(o[:, :dv], total, out=out[start : start + rows.shape[0]])
 
 
 def _attention_taped(q: Tensor, k: Tensor, v: Tensor, q3: np.ndarray, k3: np.ndarray,
@@ -813,8 +870,12 @@ def space_to_depth(x: Tensor, factor: int) -> Tensor:
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+    """The parts' rows, one part after another; one part is returned as it
+    is, with no copy and no record."""
     if not parts:
         raise ShapeError("concat_rows: empty")
+    if len(parts) == 1:
+        return parts[0]
     sizes = [p.shape[0] for p in parts]
 
     def fn(g: np.ndarray) -> None:

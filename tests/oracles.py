@@ -24,6 +24,13 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float,
+              rows: int = 256) -> np.ndarray:
+    """softmax(scale q k^T) v, ``rows`` query rows at a time."""
+    return np.concatenate([softmax(scale * (q[i : i + rows] @ k.T)) @ v
+                           for i in range(0, q.shape[0], rows)])
+
+
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)

@@ -22,10 +22,13 @@ from bisource import (
 )
 from bisource.ada import INF_PROTOTYPES
 from bisource.model import cosine_lr
+from bisource import data
 from bisource import tensor as T
 from bisource.tensor import NumericalError, Rng, ShapeError, Tape, alloc_stats
 from bisource.cli import _save_checkpoint, load_checkpoint
 from bisource.io import save_tensor_dir, load_tensor_dir
+
+import oracles
 
 
 def small_config(**kw):
@@ -629,9 +632,10 @@ def _tape_records_per_step(monkeypatch, b: int) -> int:
 
 
 def test_tape_records_per_train_step_do_not_grow_with_the_batch(monkeypatch):
-    one = _tape_records_per_step(monkeypatch, 1)
-    assert one == _tape_records_per_step(monkeypatch, 8)
-    assert one < 600
+    # one sample takes each prototype bank as it is; more take one copy a sample
+    one, two = (_tape_records_per_step(monkeypatch, b) for b in (1, 2))
+    assert one < two == _tape_records_per_step(monkeypatch, 8)
+    assert two < 600
 
 
 def test_batch_loss_is_the_mean_of_the_samples_losses():
@@ -712,6 +716,35 @@ def test_backward_frees_each_gradient_once_its_closure_has_run():
     assert grads[0] == grads[1]
 
 
+def _copying_concat_rows(concat_rows):
+    """concat_rows as it was before one part was returned as it is: a copy
+    of the part, recorded with a backward that passes the gradient on."""
+    def concat(parts):
+        if len(parts) > 1:
+            return concat_rows(parts)
+        (x,) = parts
+        return T._out(x.data.copy(), lambda g: T._accum(x, g))
+    return concat
+
+
+@pytest.mark.parametrize("head", ["binary", "density"])
+def test_a_single_sample_step_has_the_gradients_of_a_copied_prototype_bank(monkeypatch, head):
+    m = _gated_model(input_hw=(64, 64), **HEADS[head])
+    sample = _batch(Rng(47), 1, hw=(64, 64), **HEADS[head])[0]
+
+    def grads():
+        for p in m.parameters():
+            p.zero_grad()
+        with Tape() as tape:
+            T.backward(m.sample_loss(*sample), tape)
+        return {p.name: p.grad.tobytes() for p in m.parameters()}
+
+    got = grads()
+    assert any(np.any(p.grad) for p in m.parameters() if p.name.endswith("prototypes"))
+    monkeypatch.setattr(T, "concat_rows", _copying_concat_rows(T.concat_rows))
+    assert grads() == got
+
+
 def test_train_step_checks_the_batch_before_the_tape_opens():
     m = _gated_model()
     opt = AdamW(m.parameters(), lr=1e-3)
@@ -778,3 +811,50 @@ def test_checkpoint_state_error_names_the_file(tmp_path, arrays, fault):
     with pytest.raises(ValueError, match=fault) as exc:
         load_checkpoint(path)
     assert str(exc.value).startswith(str(path))
+
+
+# -- accuracy at the benchmark's shapes ----------------------------------------------
+
+
+OUTPUT_RTOL = 2e-5  # of the float64 replay's peak, as perfbench checks outputs
+
+
+def _oracle_attention(q, k, v, scale, b=1):
+    parts = zip(*(x.data.reshape(b, -1, x.shape[1]) for x in (q, k, v)))
+    return Tensor(np.concatenate([oracles.attention(*part, scale) for part in parts]))
+
+
+def _benchmark_model(head: str, size: int):
+    """perfbench's model (base 16, K = 4, gates drawn from +-0.5) and its
+    float64 replay with the same weights, whose attention is the oracle's."""
+    m = _gated_model(base_channels=16, num_prototypes=4, head=head, input_hw=(size, size))
+    replay = BiSourceModel(m.config, seed=m.seed, dtype=np.float64)
+    replay.load_state(m.state_arrays())
+
+    def replayed(run):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "attention_rows", _oracle_attention)
+            return run(replay)
+
+    return m, replayed
+
+
+def test_density_predict_at_256_px_matches_its_float64_replay():
+    m, replayed = _benchmark_model("density", 256)
+    for i, illumination in enumerate(("bright", "dark")):
+        spec = data.DensitySceneSpec(256, 256, n_people=9, illumination=illumination, seed=i)
+        img1, img2, _ = data.gen_density_pair(spec)
+        got = m.predict(img1, img2).astype(np.float64)
+        want = replayed(lambda r: r.predict(img1, img2))
+        assert np.abs(got - want).max() <= OUTPUT_RTOL * np.abs(want).max(), illumination
+
+
+def test_change_mask_at_64_px_matches_its_float64_replay_where_confident():
+    m, replayed = _benchmark_model("binary", 64)
+    for seed in range(4):
+        img1, img2, _ = data.gen_change_pair(data.ChangeSceneSpec(seed=seed))
+        mask = m.predict(img1, img2)
+        logits = replayed(lambda r: r.forward(r._as_input(img1), r._as_input(img2))).data[..., 0]
+        sure = np.abs(logits) > OUTPUT_RTOL * np.abs(logits).max()
+        assert sure.mean() > 0.99
+        np.testing.assert_array_equal(mask[sure] != 0, logits[sure] > 0)

@@ -213,6 +213,14 @@ def test_reshape_is_a_view():
     np.testing.assert_array_equal(y.data, x.data.reshape(6, 5))
 
 
+def test_concat_rows_of_one_part_is_that_part_and_records_nothing():
+    x = Tensor(Rng(4).normal((5, 6), dtype=F64))
+    with Tape() as tape:
+        assert T.concat_rows([x]) is x
+        assert tape._records == []
+    np.testing.assert_array_equal(T.concat_rows([x, x]).data, np.concatenate([x.data] * 2))
+
+
 def test_elementwise_examples():
     x = tensor([[1.0, -2.0]], dtype=F64)
     np.testing.assert_array_equal(T.absdiff(x, x).data, 0.0)
@@ -580,18 +588,59 @@ def test_attention_rows_untaped_float64_matches_taped(rows):
         assert _peak_error(got, _taped_attention(q, k, v, scale)) <= 1e-12
 
 
+def _float64_replay(q, k, v, scale) -> np.ndarray:
+    return _taped_attention(*(Tensor(x.data.astype(F64)) for x in (q, k, v)), scale)
+
+
 @pytest.mark.parametrize("rows", ATTN_ROWS)
 def test_attention_rows_untaped_float32_matches_taped(rows):
     for dim, scale in ((16, 0.25), (32, 1.0 / np.sqrt(32.0))):
         q, k, v = _qkv(rows, dim, np.float32)
         got = T.attention_rows(q, k, v, scale).data
-        want = _taped_attention(q, k, v, scale)
         assert got.dtype == np.float32
-        assert _peak_error(got, want) <= 1e-5
-        # folding an exact power-of-two scale into q changes no rounding; a
-        # lone tail row (257) goes through a different BLAS kernel
-        if scale == 0.25 and rows % T.ATTN_ROW_BLOCK != 1:
-            np.testing.assert_array_equal(got, want)
+        assert _peak_error(got, _taped_attention(q, k, v, scale)) <= 1e-5
+        # measured at most 1.3e-6 over these calls, the taped path's 8.2e-7
+        assert _peak_error(got, _float64_replay(q, k, v, scale)) <= 4e-6
+
+
+def _shifted(q, k, v, scale, b=1) -> list[bool]:
+    """Which samples untaped attention_rows shifts by the row max."""
+    q3, k3, v3 = (x.data.reshape(b, -1, x.shape[1]) for x in (q, k, v))
+    return T._attention_shifts(q3 * scale, k3, v3)
+
+
+def _edge_scale(q, k, factor: float) -> float:
+    """The scale that puts q and k's score bound at factor x ATTN_SHIFT_LIMIT."""
+    qn, kn = (np.sqrt(np.einsum("ij,ij->i", x.data, x.data, dtype=F64)).max() for x in (q, k))
+    return factor * T.ATTN_SHIFT_LIMIT / (qn * kn)
+
+
+@pytest.mark.parametrize("kind, value, shifted", [
+    ("scale", 0.25, False), ("bound", 0.99, False), ("bound", 1.01, True), ("scale", 50.0, True),
+], ids=["scale-0.25", "bound-just-below", "bound-just-above", "scale-50"])
+def test_attention_rows_untaped_is_as_accurate_as_taped_either_side_of_the_limit(kind, value, shifted):
+    errors = {"untaped": [], "taped": []}
+    for rows in (1, 255, 257, 4096):
+        q, k, v = _qkv(rows, 16, np.float32)
+        scale = value if kind == "scale" else _edge_scale(q, k, value)
+        assert _shifted(q, k, v, scale) == [shifted]
+        want = _float64_replay(q, k, v, scale)
+        errors["untaped"].append(_peak_error(T.attention_rows(q, k, v, scale).data, want))
+        errors["taped"].append(_peak_error(_taped_attention(q, k, v, scale), want))
+    # one call's error is a draw of its roundings; over the calls, the
+    # untaped path's worst stays within twice the taped path's worst
+    assert max(errors["untaped"]) <= 2 * max(errors["taped"]), errors
+
+
+def test_attention_rows_batch_of_shifted_and_unshifted_samples_keeps_each_samples_bytes(two_cpus):
+    b, rows = 2, 300
+    q, k, v = (_samples(b, rows, 16, np.float32) for _ in range(3))
+    q = Tensor(q.data * np.repeat([1.0, 20.0], rows)[:, None].astype(np.float32))
+    assert _shifted(q, k, v, 0.3, b) == [False, True]
+    got = T.attention_rows(q, k, v, 0.3, b)
+    for i in range(b):
+        alone = [Tensor(x.data[i * rows : (i + 1) * rows]) for x in (q, k, v)]
+        assert _rows_of(got, b, i) == T.attention_rows(*alone, 0.3).data.tobytes()
 
 
 def test_attention_rows_nan_in_q_raises_on_both_paths():
@@ -602,6 +651,31 @@ def test_attention_rows_nan_in_q_raises_on_both_paths():
         T.attention_rows(Tensor(bad), k, v, 0.25)
     with Tape(), pytest.raises(NumericalError):
         T.attention_rows(Tensor(bad), k, v, 0.25)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("operand", ["k", "v"])
+def test_attention_rows_untaped_non_finite_k_or_v_raises(two_cpus, operand, bad):
+    qkv = dict(zip("qkv", _qkv(4096, 8, np.float32)))
+    data = qkv[operand].data.copy()
+    data[170, 3] = bad
+    qkv[operand] = Tensor(data)
+    with pytest.raises(NumericalError, match="attention_rows"):
+        T.attention_rows(qkv["q"], qkv["k"], qkv["v"], 0.25)
+
+
+@pytest.mark.parametrize("big", [1e34, 3e37])
+def test_attention_rows_untaped_large_values_are_finite_where_taped_are(big):
+    # N exp(bound) max|v| overflows float32, so these samples are shifted; at
+    # 3e37 even N max|v| does, which the ln N in the shift keeps in range
+    q, k, v = _qkv(300, 16, np.float32)
+    v = Tensor(v.data * np.float32(big))
+    assert _shifted(q, k, v, 0.25) == [True]
+    want = _taped_attention(q, k, v, 0.25)
+    assert np.isfinite(want).all()
+    got = T.attention_rows(q, k, v, 0.25).data
+    assert _peak_error(got, _float64_replay(q, k, v, 0.25)) <= 4e-6
+    assert _peak_error(got, want) <= 1e-5
 
 
 def test_attention_rows_shape_errors():
@@ -652,13 +726,15 @@ def test_attention_rows_threads_claim_every_block_once(monkeypatch, two_cpus):
     claimed: list[tuple[str, int]] = []
     run_blocks = T._attention_blocks
 
-    def spy(qs, kt, v, out, blocks, buf):
+    def spy(*args):
+        *head, blocks, buf = args
+
         def counted():
             for i in blocks:
                 claimed.append((threading.current_thread().name, i))
                 yield i
 
-        run_blocks(qs, kt, v, out, counted(), buf)
+        run_blocks(*head, counted(), buf)
 
     monkeypatch.setattr(T, "_attention_blocks", spy)
     blocks = 4096 // T.ATTN_ROW_BLOCK
