@@ -70,20 +70,26 @@ class SourcePair:
 
 
 class ParamRegistry:
-    """Ordered name -> Parameter map shared by all weight containers."""
+    """Ordered name -> Parameter map shared by all weight containers.
 
-    def __init__(self) -> None:
+    It makes every parameter: initial values are drawn from ``rng`` in
+    ``dtype``, in the order the containers ask for them.
+    """
+
+    def __init__(self, rng: Rng, dtype) -> None:
+        self.rng = rng
+        self.dtype = dtype
         self._params: dict[str, Parameter] = {}
 
-    def make(self, rng: Rng, name: str, shape, init: str, dtype) -> Parameter:
+    def make(self, name: str, shape, init: str) -> Parameter:
         if name in self._params:
             raise ValueError(f"duplicate parameter {name}")
         if init == "trunc_normal":
-            data = rng.trunc_normal(shape, std=0.02, dtype=dtype)
+            data = self.rng.trunc_normal(shape, std=0.02, dtype=self.dtype)
         elif init == "zeros":
-            data = np.zeros(shape, dtype=dtype)
+            data = np.zeros(shape, dtype=self.dtype)
         elif init == "ones":
-            data = np.ones(shape, dtype=dtype)
+            data = np.ones(shape, dtype=self.dtype)
         else:
             raise ValueError(init)
         p = Parameter(Tensor(data), name)
@@ -100,13 +106,13 @@ class ParamRegistry:
 class Mlp:
     """norm -> linear(in -> hidden) -> GELU -> linear(hidden -> out)."""
 
-    def __init__(self, reg: ParamRegistry, rng: Rng, in_dim: int, hidden: int, out_dim: int, name: str, dtype) -> None:
-        self.ln_g = reg.make(rng, f"{name}.ln_g", (in_dim,), "ones", dtype)
-        self.ln_b = reg.make(rng, f"{name}.ln_b", (in_dim,), "zeros", dtype)
-        self.w1 = reg.make(rng, f"{name}.w1", (in_dim, hidden), "trunc_normal", dtype)
-        self.b1 = reg.make(rng, f"{name}.b1", (hidden,), "zeros", dtype)
-        self.w2 = reg.make(rng, f"{name}.w2", (hidden, out_dim), "trunc_normal", dtype)
-        self.b2 = reg.make(rng, f"{name}.b2", (out_dim,), "zeros", dtype)
+    def __init__(self, reg: ParamRegistry, in_dim: int, hidden: int, out_dim: int, name: str) -> None:
+        self.ln_g = reg.make(f"{name}.ln_g", (in_dim,), "ones")
+        self.ln_b = reg.make(f"{name}.ln_b", (in_dim,), "zeros")
+        self.w1 = reg.make(f"{name}.w1", (in_dim, hidden), "trunc_normal")
+        self.b1 = reg.make(f"{name}.b1", (hidden,), "zeros")
+        self.w2 = reg.make(f"{name}.w2", (hidden, out_dim), "trunc_normal")
+        self.b2 = reg.make(f"{name}.b2", (out_dim,), "zeros")
 
     def __call__(self, x: Tensor, b: int) -> Tensor:
         """x holds b samples' rows, one sample after another."""
@@ -121,13 +127,13 @@ class CompWeights:
     for "consistency", absolute difference for "difference"), pool the result
     at windows {1, 3, 5}, normalize, project and split into (key, value)."""
 
-    def __init__(self, reg: ParamRegistry, rng: Rng, comp_op: str, feat_dim: int, proto_dim: int, name: str, dtype) -> None:
+    def __init__(self, reg: ParamRegistry, comp_op: str, feat_dim: int, proto_dim: int, name: str) -> None:
         self.op = {"consistency": "mul", "difference": "absdiff"}[comp_op]
         cin = 3 * feat_dim
-        self.ln_g = reg.make(rng, f"{name}.ln_g", (cin,), "ones", dtype)
-        self.ln_b = reg.make(rng, f"{name}.ln_b", (cin,), "zeros", dtype)
-        self.proj = reg.make(rng, f"{name}.proj", (cin, 2 * proto_dim), "trunc_normal", dtype)
-        self.bias = reg.make(rng, f"{name}.bias", (2 * proto_dim,), "zeros", dtype)
+        self.ln_g = reg.make(f"{name}.ln_g", (cin,), "ones")
+        self.ln_b = reg.make(f"{name}.ln_b", (cin,), "zeros")
+        self.proj = reg.make(f"{name}.proj", (cin, 2 * proto_dim), "trunc_normal")
+        self.bias = reg.make(f"{name}.bias", (2 * proto_dim,), "zeros")
         self.proto_dim = proto_dim
 
     def __call__(self, s: SourcePair) -> tuple[Tensor, Tensor]:
@@ -155,17 +161,17 @@ class GatedAttention:
 
     ffn_name = "ffn"
 
-    def __init__(self, cfg: AdaConfig, reg: ParamRegistry, rng: Rng, name: str, dtype) -> None:
+    def __init__(self, cfg: AdaConfig, reg: ParamRegistry, name: str) -> None:
         d, c, r = cfg.proto_dim, cfg.feat_dim, cfg.ffn_expansion
         if cfg.comp_op == "identity" and d != c:
             raise ValueError("identity comp_op requires proto_dim == feat_dim")
         self.cfg = cfg
-        self._make_weights(reg, rng, name, dtype)
-        self.gate = reg.make(rng, f"{name}.gate", (c,), "zeros", dtype)
-        self.ffn = Mlp(reg, rng, c, r * c, c, f"{name}.{self.ffn_name}", dtype)
+        self._make_weights(reg, name)
+        self.gate = reg.make(f"{name}.gate", (c,), "zeros")
+        self.ffn = Mlp(reg, c, r * c, c, f"{name}.{self.ffn_name}")
         self.comp = (
             None if cfg.comp_op == "identity"
-            else CompWeights(reg, rng, cfg.comp_op, c, d, f"{name}.comp", dtype)
+            else CompWeights(reg, cfg.comp_op, c, d, f"{name}.comp")
         )
 
     def comp_embed(self, s: SourcePair) -> tuple[Tensor, Tensor]:
@@ -187,26 +193,24 @@ class ProtoAttention(GatedAttention):
         self,
         cfg: AdaConfig,
         reg: ParamRegistry,
-        rng: Rng,
         num_source_tokens: int | None = None,
         name: str = "ada",
-        dtype=np.float32,
     ) -> None:
         self.k = cfg.resolve_k(num_source_tokens or 0)
         if self.k < 1:
             raise ValueError("resolved prototype count must be >= 1 (pass num_source_tokens for inf)")
-        super().__init__(cfg, reg, rng, name, dtype)
+        super().__init__(cfg, reg, name)
 
-    def _make_weights(self, reg: ParamRegistry, rng: Rng, name: str, dtype) -> None:
+    def _make_weights(self, reg: ParamRegistry, name: str) -> None:
         k, d, c, r = self.k, self.cfg.proto_dim, self.cfg.feat_dim, self.cfg.ffn_expansion
-        self.prototypes = reg.make(rng, f"{name}.prototypes", (k, d), "trunc_normal", dtype)
-        self.w_q_fw = reg.make(rng, f"{name}.w_q_fw", (d, d), "trunc_normal", dtype)
-        self.w_o_fw = reg.make(rng, f"{name}.w_o_fw", (d, d), "trunc_normal", dtype)
-        self.ffn_fw = Mlp(reg, rng, d, r * d, d, f"{name}.ffn_fw", dtype)
-        self.w_q_bw = reg.make(rng, f"{name}.w_q_bw", (c, d), "trunc_normal", dtype)
-        self.w_k_bw = reg.make(rng, f"{name}.w_k_bw", (d, d), "trunc_normal", dtype)
-        self.w_v_bw = reg.make(rng, f"{name}.w_v_bw", (d, d), "trunc_normal", dtype)
-        self.w_o_bw = reg.make(rng, f"{name}.w_o_bw", (d, c), "trunc_normal", dtype)
+        self.prototypes = reg.make(f"{name}.prototypes", (k, d), "trunc_normal")
+        self.w_q_fw = reg.make(f"{name}.w_q_fw", (d, d), "trunc_normal")
+        self.w_o_fw = reg.make(f"{name}.w_o_fw", (d, d), "trunc_normal")
+        self.ffn_fw = Mlp(reg, d, r * d, d, f"{name}.ffn_fw")
+        self.w_q_bw = reg.make(f"{name}.w_q_bw", (c, d), "trunc_normal")
+        self.w_k_bw = reg.make(f"{name}.w_k_bw", (d, d), "trunc_normal")
+        self.w_v_bw = reg.make(f"{name}.w_v_bw", (d, d), "trunc_normal")
+        self.w_o_bw = reg.make(f"{name}.w_o_bw", (d, c), "trunc_normal")
 
     # -- stages ------------------------------------------------------------
 
@@ -242,13 +246,10 @@ class StdAttention(GatedAttention):
     """Dense single-head scaled-dot-product baseline with the same
     complementarity front-end and residual + FFN wrapper."""
 
-    def __init__(self, cfg: AdaConfig, reg: ParamRegistry, rng: Rng, name: str = "std", dtype=np.float32) -> None:
-        super().__init__(cfg, reg, rng, name, dtype)
-
-    def _make_weights(self, reg: ParamRegistry, rng: Rng, name: str, dtype) -> None:
+    def _make_weights(self, reg: ParamRegistry, name: str) -> None:
         d, c = self.cfg.proto_dim, self.cfg.feat_dim
-        self.w_q = reg.make(rng, f"{name}.w_q", (c, d), "trunc_normal", dtype)
-        self.w_o = reg.make(rng, f"{name}.w_o", (d, c), "trunc_normal", dtype)
+        self.w_q = reg.make(f"{name}.w_q", (c, d), "trunc_normal")
+        self.w_o = reg.make(f"{name}.w_o", (d, c), "trunc_normal")
 
     def forward(self, s: SourcePair, slot: Tensor) -> Tensor:
         keys, values = self.comp_embed(s)
@@ -263,24 +264,15 @@ class StdAttention(GatedAttention):
         return self.gated_residual(slot, T.matmul(z, self.w_o.value, s.b), s.b)
 
 
-def make_attention(form: str, cfg: AdaConfig, reg: ParamRegistry, rng: Rng, num_source_tokens: int | None = None,
-                   name: str | None = None, dtype=np.float32) -> GatedAttention:
+def make_attention(form: str, cfg: AdaConfig, reg: ParamRegistry, num_source_tokens: int | None = None,
+                   name: str | None = None) -> GatedAttention:
     """Prototype ("ada") or dense ("std") attention, named ``form`` by default."""
     name = form if name is None else name
     if form == "ada":
-        return ProtoAttention(cfg, reg, rng, num_source_tokens=num_source_tokens, name=name, dtype=dtype)
+        return ProtoAttention(cfg, reg, num_source_tokens, name)
     if form == "std":
-        return StdAttention(cfg, reg, rng, name=name, dtype=dtype)
+        return StdAttention(cfg, reg, name)
     raise ValueError(f"attention form must be 'ada' or 'std', got {form!r}")
-
-
-def build_unit(cfg: AdaConfig, rng: Rng, num_source_tokens: int | None = None, dtype=np.float32,
-               form: str = "ada") -> GatedAttention:
-    """Standalone unit with its own registry (tests and benchmarks)."""
-    reg = ParamRegistry()
-    unit = make_attention(form, cfg, reg, rng, num_source_tokens=num_source_tokens, dtype=dtype)
-    unit.registry = reg  # type: ignore[attr-defined]
-    return unit
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +358,3 @@ def flops_of(
         }
     raise ValueError(f"unknown variant {variant!r}")
 
-
-def params_of(unit) -> int:
-    reg: ParamRegistry = unit.registry  # type: ignore[attr-defined]
-    return sum(p.value.data.size for p in reg.all())

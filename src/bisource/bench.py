@@ -18,10 +18,10 @@ import numpy as np
 from .ada import (
     AdaConfig,
     INF_PROTOTYPES,
+    ParamRegistry,
     SourcePair,
-    build_unit,
     flops_of,
-    params_of,
+    make_attention,
 )
 from .tensor import Rng, Tensor, alloc_stats
 
@@ -64,6 +64,8 @@ class SweepConfig:
         for L in self.token_counts:
             if int(math.isqrt(L)) ** 2 != L:
                 raise ValueError(f"token count {L} is not a perfect square")
+        for tag in self.variants:
+            parse_variant(tag)
         self.token_counts = tuple(self.token_counts)
         self.variants = tuple(self.variants)
 
@@ -92,8 +94,11 @@ def parse_variant(tag: str) -> tuple[str, float | None]:
         return "std", None
     if tag.startswith("ada:"):
         k = tag.split(":", 1)[1]
-        return "ada", INF_PROTOTYPES if k == "inf" else float(int(k))
-    raise ValueError(f"unknown variant tag {tag!r}")
+        if k == "inf":
+            return "ada", INF_PROTOTYPES
+        if k.isdecimal() and int(k) >= 1:
+            return "ada", float(int(k))
+    raise ValueError(f"unknown variant tag {tag!r}; expected std, ada:inf or ada:K with K >= 1")
 
 
 def dominant_buffer_elements(kind: str, k: float | None, L: int, C: int, D: int) -> int:
@@ -155,7 +160,8 @@ def run_sweep(cfg: SweepConfig, progress=None) -> list[BenchRow]:
                 feat_dim=C,
                 comp_op="consistency",
             )
-            unit = build_unit(ada_cfg, rng, num_source_tokens=L, form=kind)
+            reg = ParamRegistry(rng, np.float32)
+            unit = make_attention(kind, ada_cfg, reg, num_source_tokens=L)
             kk = None if kind == "std" else unit.k
             f1 = Tensor(rng.normal((L, C), std=1.0))
             f2 = Tensor(rng.normal((L, C), std=1.0))
@@ -172,7 +178,7 @@ def run_sweep(cfg: SweepConfig, progress=None) -> list[BenchRow]:
             rows.append(
                 BenchRow(
                     variant=kind, K=k_label, L=L, C=C, D=D, flops=flops,
-                    params=params_of(unit),
+                    params=sum(p.value.data.size for p in reg.all()),
                     wall_time_s=float(np.median(times)),
                     peak_elements=int(peak),
                 )
@@ -182,7 +188,7 @@ def run_sweep(cfg: SweepConfig, progress=None) -> list[BenchRow]:
                     f"{tag} L={L}: {rows[-1].wall_time_s * 1e3:.2f} ms, "
                     f"peak {peak} elements"
                 )
-            del unit, pair, f1, f2, slot
+            del unit, reg, pair, f1, f2, slot
             gc.collect()
     return rows
 

@@ -10,11 +10,9 @@ information into it (slot length H*W).  Both take b samples at once.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import tensor as T
 from .ada import AdaConfig, Mlp, ParamRegistry, SourcePair, make_attention
-from .tensor import Rng, Tensor
+from .tensor import Tensor
 
 
 class ConsistencyBlock:
@@ -22,15 +20,13 @@ class ConsistencyBlock:
         self,
         cfg: AdaConfig,
         reg: ParamRegistry,
-        rng: Rng,
         num_source_tokens: int | None = None,
         name: str = "ceb",
         attention_form: str = "ada",
-        dtype=np.float32,
     ) -> None:
         if cfg.comp_op not in ("consistency", "identity"):
             raise ValueError("consistency block requires consistency (or identity) comp_op")
-        self.attn = make_attention(attention_form, cfg, reg, rng, num_source_tokens, name, dtype)
+        self.attn = make_attention(attention_form, cfg, reg, num_source_tokens, name)
 
     def forward(self, s: SourcePair, slot: Tensor) -> Tensor:
         """Both streams enhanced, in the layout of ``slot``: for each of the
@@ -43,20 +39,18 @@ class DifferenceBlock:
         self,
         cfg: AdaConfig,
         reg: ParamRegistry,
-        rng: Rng,
         deeper_dim: int,
         num_source_tokens: int | None = None,
         name: str = "dab",
         mixer_only: bool = False,
         attention_form: str = "ada",
-        dtype=np.float32,
     ) -> None:
         if cfg.comp_op not in ("difference", "identity"):
             raise ValueError("difference block requires difference (or identity) comp_op")
         c = cfg.feat_dim
-        self.mixer = Mlp(reg, rng, 2 * c + deeper_dim, c, c, f"{name}.mixer", dtype)
+        self.mixer = Mlp(reg, 2 * c + deeper_dim, c, c, f"{name}.mixer")
         self.attn = None if mixer_only else make_attention(
-            attention_form, cfg, reg, rng, num_source_tokens, name, dtype
+            attention_form, cfg, reg, num_source_tokens, name
         )
 
     def build_slot(self, s: SourcePair, deeper: Tensor, deeper_h: int, deeper_w: int) -> Tensor:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import tensor as T
-from .ada import INF_PROTOTYPES, AdaConfig, ParamRegistry, SourcePair, build_unit
+from .ada import INF_PROTOTYPES, AdaConfig, ParamRegistry, SourcePair, make_attention
 from .blocks import ConsistencyBlock, DifferenceBlock
 from .data import generate_dataset, load_dataset
 from .gradcheck import grad_check
@@ -36,7 +36,6 @@ from .metrics import (
     ConfusionCounts,
     binary_metrics_from_counts,
     confusion_binary,
-    game,
     grid_count_error,
     rmse_counts,
 )
@@ -260,23 +259,26 @@ def cmd_eval(o: dict) -> int:
     else:
         header = ["image", "count_pred", "count_gt",
                   "game_0", "game_1", "game_2", "game_3", "rmse"]
-        preds, gts = [], []
+        pred_counts, gt_counts, per_image_games = [], [], []
         for idx, (img1, img2, target) in enumerate(samples):
             pred = model.predict(img1, img2)
-            preds.append(pred)
-            gts.append(target)
+            count_pred, count_gt = pred.sum(), target.sum()
+            pred_counts.append(count_pred)
+            gt_counts.append(count_gt)
             games = [grid_count_error(pred, target, lv) for lv in range(4)]
-            err = abs(float(pred.sum()) - float(target.sum()))
+            per_image_games.append(games)
+            err = abs(float(count_pred) - float(count_gt))
             rows.append(
-                [f"{idx:05d}", f"{pred.sum():.4f}", f"{target.sum():.4f}"]
+                [f"{idx:05d}", f"{count_pred:.4f}", f"{count_gt:.4f}"]
                 + [f"{g:.6f}" for g in games] + [f"{err:.6f}"]
             )
-        agg_games = [game(preds, gts, lv) for lv in range(4)]
-        rmse = rmse_counts([p.sum() for p in preds], [g.sum() for g in gts])
+        # GAME_l: the mean over images of the per-image errors above
+        agg_games = [float(np.mean(level)) for level in zip(*per_image_games)]
+        rmse = rmse_counts(pred_counts, gt_counts)
         rows.append(
             ["aggregate",
-             f"{float(np.sum([p.sum() for p in preds])):.4f}",
-             f"{float(np.sum([g.sum() for g in gts])):.4f}"]
+             f"{float(np.sum(pred_counts)):.4f}",
+             f"{float(np.sum(gt_counts)):.4f}"]
             + [f"{g:.6f}" for g in agg_games] + [f"{rmse:.6f}"]
         )
         summary = "  ".join(
@@ -325,19 +327,20 @@ def _scope_op(rng: Rng):
 
 def _scope_ada(rng: Rng):
     cfg = AdaConfig(num_prototypes=2, proto_dim=3, feat_dim=3, comp_op="consistency")
-    unit = build_unit(cfg, rng, num_source_tokens=4, dtype=np.float64)
-    _randomize_gates(unit.registry, rng)
+    reg = ParamRegistry(rng, np.float64)
+    unit = make_attention("ada", cfg, reg, num_source_tokens=4)
+    _randomize_gates(reg, rng)
     f1 = Tensor(rng.normal((4, 3), dtype=np.float64))
     f2 = Tensor(rng.normal((4, 3), dtype=np.float64))
     pair = SourcePair(f1, f2, 2, 2)
     slot = Tensor(rng.normal((4, 3), dtype=np.float64))
-    return (lambda: T.sum_all(unit.forward(pair, slot))), unit.registry.all()
+    return (lambda: T.sum_all(unit.forward(pair, slot))), reg.all()
 
 
 def _scope_ceb(rng: Rng):
     cfg = AdaConfig(num_prototypes=2, proto_dim=3, feat_dim=3, comp_op="consistency")
-    reg = ParamRegistry()
-    blk = ConsistencyBlock(cfg, reg, rng, num_source_tokens=8, dtype=np.float64)
+    reg = ParamRegistry(rng, np.float64)
+    blk = ConsistencyBlock(cfg, reg, num_source_tokens=8)
     _randomize_gates(reg, rng)
     f1 = Tensor(rng.normal((4, 3), dtype=np.float64))
     f2 = Tensor(rng.normal((4, 3), dtype=np.float64))
@@ -348,8 +351,8 @@ def _scope_ceb(rng: Rng):
 
 def _scope_dab(rng: Rng):
     cfg = AdaConfig(num_prototypes=2, proto_dim=3, feat_dim=3, comp_op="difference")
-    reg = ParamRegistry()
-    blk = DifferenceBlock(cfg, reg, rng, deeper_dim=5, num_source_tokens=4, dtype=np.float64)
+    reg = ParamRegistry(rng, np.float64)
+    blk = DifferenceBlock(cfg, reg, deeper_dim=5, num_source_tokens=4)
     _randomize_gates(reg, rng)
     f1 = Tensor(rng.normal((4, 3), dtype=np.float64))
     f2 = Tensor(rng.normal((4, 3), dtype=np.float64))

@@ -86,14 +86,14 @@ class SelfAttention:
     4096 x 4096 score matrix; training keeps the taped op chain.
     """
 
-    def __init__(self, reg: ParamRegistry, rng: Rng, dim: int, name: str, dtype) -> None:
+    def __init__(self, reg: ParamRegistry, dim: int, name: str) -> None:
         self.dim = dim
-        self.ln_g = reg.make(rng, f"{name}.ln_g", (dim,), "ones", dtype)
-        self.ln_b = reg.make(rng, f"{name}.ln_b", (dim,), "zeros", dtype)
-        self.w_q = reg.make(rng, f"{name}.w_q", (dim, dim), "trunc_normal", dtype)
-        self.w_k = reg.make(rng, f"{name}.w_k", (dim, dim), "trunc_normal", dtype)
-        self.w_v = reg.make(rng, f"{name}.w_v", (dim, dim), "trunc_normal", dtype)
-        self.w_o = reg.make(rng, f"{name}.w_o", (dim, dim), "trunc_normal", dtype)
+        self.ln_g = reg.make(f"{name}.ln_g", (dim,), "ones")
+        self.ln_b = reg.make(f"{name}.ln_b", (dim,), "zeros")
+        self.w_q = reg.make(f"{name}.w_q", (dim, dim), "trunc_normal")
+        self.w_k = reg.make(f"{name}.w_k", (dim, dim), "trunc_normal")
+        self.w_v = reg.make(f"{name}.w_v", (dim, dim), "trunc_normal")
+        self.w_o = reg.make(f"{name}.w_o", (dim, dim), "trunc_normal")
 
     def __call__(self, x: Tensor, b: int) -> Tensor:
         h = T.layer_norm(x, self.ln_g.value, self.ln_b.value, b)
@@ -107,15 +107,15 @@ class SelfAttention:
 class EncoderStage:
     """Patch embed (stage 1) or 2x patch merge, then one pre-norm block."""
 
-    def __init__(self, reg: ParamRegistry, rng: Rng, in_dim: int, out_dim: int, merge_factor: int, name: str, dtype) -> None:
+    def __init__(self, reg: ParamRegistry, in_dim: int, out_dim: int, merge_factor: int, name: str) -> None:
         self.merge_factor = merge_factor
         merged = merge_factor * merge_factor * in_dim
-        self.merge_ln_g = reg.make(rng, f"{name}.merge_ln_g", (merged,), "ones", dtype)
-        self.merge_ln_b = reg.make(rng, f"{name}.merge_ln_b", (merged,), "zeros", dtype)
-        self.merge_w = reg.make(rng, f"{name}.merge_w", (merged, out_dim), "trunc_normal", dtype)
-        self.merge_b = reg.make(rng, f"{name}.merge_b", (out_dim,), "zeros", dtype)
-        self.attn = SelfAttention(reg, rng, out_dim, f"{name}.attn", dtype)
-        self.ffn = Mlp(reg, rng, out_dim, 2 * out_dim, out_dim, f"{name}.ffn", dtype)
+        self.merge_ln_g = reg.make(f"{name}.merge_ln_g", (merged,), "ones")
+        self.merge_ln_b = reg.make(f"{name}.merge_ln_b", (merged,), "zeros")
+        self.merge_w = reg.make(f"{name}.merge_w", (merged, out_dim), "trunc_normal")
+        self.merge_b = reg.make(f"{name}.merge_b", (out_dim,), "zeros")
+        self.attn = SelfAttention(reg, out_dim, f"{name}.attn")
+        self.ffn = Mlp(reg, out_dim, 2 * out_dim, out_dim, f"{name}.ffn")
 
     def __call__(self, x: Tensor, h: int, w: int, b: int) -> tuple[Tensor, int, int]:
         grid = T.reshape(x, (b, h, w, x.shape[-1]))
@@ -132,10 +132,10 @@ class EncoderStage:
 class TaskHead:
     """Mlp (norm -> linear -> GELU -> linear), then bilinear upsampling to input."""
 
-    def __init__(self, reg: ParamRegistry, rng: Rng, dim: int, kind: str, n_classes: int, name: str, dtype) -> None:
+    def __init__(self, reg: ParamRegistry, dim: int, kind: str, n_classes: int, name: str) -> None:
         self.kind = kind
         self.out_dim = {"binary": 1, "density": 1, "multiclass": n_classes}[kind]
-        self.mlp = Mlp(reg, rng, dim, dim, self.out_dim, name, dtype)
+        self.mlp = Mlp(reg, dim, dim, self.out_dim, name)
 
     def __call__(self, x: Tensor, h: int, w: int, b: int) -> Tensor:
         grid = T.reshape(self.mlp(x, b), (b, h, w, self.out_dim))
@@ -151,12 +151,18 @@ class BiSourceModel:
         self.config = config
         self.seed = seed
         self.dtype = dtype
-        reg = ParamRegistry()
-        rng = Rng(seed)
+        self.registry = reg = ParamRegistry(Rng(seed), dtype)
         c = config.base_channels
         in_h, in_w = config.input_hw
-        comp_con = "identity" if "compops" in config.ablate else "consistency"
-        comp_diff = "identity" if "compops" in config.ablate else "difference"
+
+        def ada_config(dim: int, comp_op: str) -> AdaConfig:
+            return AdaConfig(
+                num_prototypes=config.num_prototypes,
+                proto_dim=dim,
+                feat_dim=dim,
+                ffn_expansion=config.ffn_expansion,
+                comp_op="identity" if "compops" in config.ablate else comp_op,
+            )
 
         self.stage_dims = [c, 2 * c, 4 * c, 8 * c]
         self.stages: list[EncoderStage] = []
@@ -165,64 +171,40 @@ class BiSourceModel:
         h, w = in_h, in_w
         for i, dim in enumerate(self.stage_dims):
             factor = PATCH if i == 0 else 2
-            self.stages.append(
-                EncoderStage(reg, rng, prev, dim, factor, f"enc{i + 1}", dtype)
-            )
+            self.stages.append(EncoderStage(reg, prev, dim, factor, f"enc{i + 1}"))
             h, w = h // factor, w // factor
-            if "ceb" in config.ablate:
-                self.cebs.append(None)
-            else:
-                cfg = AdaConfig(
-                    num_prototypes=config.num_prototypes,
-                    proto_dim=dim,
-                    feat_dim=dim,
-                    ffn_expansion=config.ffn_expansion,
-                    comp_op=comp_con,
+            self.cebs.append(
+                None if "ceb" in config.ablate
+                else ConsistencyBlock(
+                    ada_config(dim, "consistency"), reg, num_source_tokens=h * w,
+                    name=f"ceb{i + 1}", attention_form=config.attention_form,
                 )
-                self.cebs.append(
-                    ConsistencyBlock(
-                        cfg, reg, rng, num_source_tokens=h * w, name=f"ceb{i + 1}",
-                        attention_form=config.attention_form, dtype=dtype,
-                    )
-                )
+            )
             prev = dim
 
         deep = self.stage_dims[-1]
-        self.fuse_ln_g = reg.make(rng, "fuse.ln_g", (2 * deep,), "ones", dtype)
-        self.fuse_ln_b = reg.make(rng, "fuse.ln_b", (2 * deep,), "zeros", dtype)
-        self.fuse_w = reg.make(rng, "fuse.w", (2 * deep, deep), "trunc_normal", dtype)
-        self.fuse_b = reg.make(rng, "fuse.b", (deep,), "zeros", dtype)
+        self.fuse_ln_g = reg.make("fuse.ln_g", (2 * deep,), "ones")
+        self.fuse_ln_b = reg.make("fuse.ln_b", (2 * deep,), "zeros")
+        self.fuse_w = reg.make("fuse.w", (2 * deep, deep), "trunc_normal")
+        self.fuse_b = reg.make("fuse.b", (deep,), "zeros")
 
         self.dabs: list[DifferenceBlock] = []
-        hw = (in_h // DIVISOR, in_w // DIVISOR)
         for level in (2, 1, 0):  # decoder levels 3, 2, 1 (0-based stage index)
             dim = self.stage_dims[level]
-            cfg = AdaConfig(
-                num_prototypes=config.num_prototypes,
-                proto_dim=dim,
-                feat_dim=dim,
-                ffn_expansion=config.ffn_expansion,
-                comp_op=comp_diff,
-            )
             lvl_tokens = (in_h // (PATCH * 2**level)) * (in_w // (PATCH * 2**level))
             self.dabs.append(
                 DifferenceBlock(
-                    cfg,
+                    ada_config(dim, "difference"),
                     reg,
-                    rng,
                     deeper_dim=self.stage_dims[level + 1],
                     num_source_tokens=lvl_tokens,
                     name=f"dab{level + 1}",
                     mixer_only="dab" in config.ablate,
                     attention_form=config.attention_form,
-                    dtype=dtype,
                 )
             )
 
-        self.head = TaskHead(
-            reg, rng, self.stage_dims[0], config.head, config.n_classes, "head", dtype
-        )
-        self.registry = reg
+        self.head = TaskHead(reg, self.stage_dims[0], config.head, config.n_classes, "head")
 
     # -- forward ------------------------------------------------------------
 

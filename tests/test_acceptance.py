@@ -3,7 +3,6 @@ its criterion.  Shared toy datasets are generated once per session.
 """
 
 import csv
-import math
 import time
 import warnings
 
@@ -16,11 +15,10 @@ from bisource import (
     ModelConfig,
     Rng,
     Tensor,
-    ablation_variant,
     grad_check,
     train_step,
 )
-from bisource.ada import AdaConfig, INF_PROTOTYPES, SourcePair, build_unit
+from bisource.ada import AdaConfig, ParamRegistry, SourcePair, make_attention
 from bisource.bench import SweepConfig, fit_loglog_slope, run_sweep
 from bisource.cli import (
     GRADCHECK_SCOPES,
@@ -44,7 +42,6 @@ from bisource.metrics import (
     thresholded_fbeta,
     ClassConfusion,
 )
-from bisource import tensor as T
 
 from oracles import (
     binary_metrics_loops,
@@ -114,8 +111,9 @@ def test_criterion_2_unit_oracle():
     for seed in range(20):
         rng = Rng(seed)
         cfg = AdaConfig(num_prototypes=2, proto_dim=3, feat_dim=3, comp_op="consistency")
-        unit = build_unit(cfg, rng, num_source_tokens=4, dtype=np.float64)
-        for name, p in unit.registry.named().items():
+        reg = ParamRegistry(rng, np.float64)
+        unit = make_attention("ada", cfg, reg, num_source_tokens=4)
+        for name, p in reg.named().items():
             if name.endswith("gate"):
                 p.assign(rng.uniform(p.value.shape, -0.5, 0.5, np.float64))
         f1 = Tensor(rng.normal((4, 3), dtype=np.float64))
@@ -123,7 +121,7 @@ def test_criterion_2_unit_oracle():
         slot = Tensor(rng.normal((4, 3), dtype=np.float64))
         got = unit.forward(SourcePair(f1, f2, 2, 2), slot).data
         want = proto_forward(
-            params_dict(unit.registry), "ada", "consistency",
+            params_dict(reg), "ada", "consistency",
             f1.data, f2.data, 2, 2, slot.data,
         )
         worst = max(worst, float(np.abs(got - want).max()))

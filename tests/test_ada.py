@@ -1,7 +1,5 @@
 """Prototype attention: oracle equivalence, symmetries, gate behavior, cost model."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -9,10 +7,10 @@ from bisource import tensor as T
 from bisource.ada import (
     INF_PROTOTYPES,
     AdaConfig,
+    ParamRegistry,
     SourcePair,
-    build_unit,
     flops_of,
-    params_of,
+    make_attention,
 )
 from bisource.gradcheck import grad_check
 from bisource.tensor import Rng, Tensor
@@ -22,9 +20,15 @@ import oracles
 F64 = np.float64
 
 
-def make_unit(seed, k=2, d=3, c=3, comp_op="consistency", L=4, dtype=F64):
+def build(cfg, rng, L=None, form="ada", dtype=F64):
+    """A standalone unit and the registry that holds its parameters."""
+    reg = ParamRegistry(rng, dtype)
+    return make_attention(form, cfg, reg, L), reg
+
+
+def make_unit(seed, k=2, d=3, c=3, comp_op="consistency", L=4):
     cfg = AdaConfig(num_prototypes=k, proto_dim=d, feat_dim=c, comp_op=comp_op)
-    return build_unit(cfg, Rng(seed), num_source_tokens=L, dtype=dtype)
+    return build(cfg, Rng(seed), L)
 
 
 def make_pair(rng, L=4, c=3, h=2, w=2):
@@ -33,8 +37,8 @@ def make_pair(rng, L=4, c=3, h=2, w=2):
     )
 
 
-def randomize_gates(unit, rng):
-    for name, p in unit.registry.named().items():
+def randomize_gates(reg, rng):
+    for name, p in reg.named().items():
         if name.endswith("gate"):
             p.assign(rng.uniform(p.value.shape, -0.5, 0.5, F64))
 
@@ -48,13 +52,13 @@ def randomize_gates(unit, rng):
 def test_forward_matches_straight_line_oracle_20_seeds(comp_op):
     for seed in range(20):
         rng = Rng(2000 + seed)
-        unit = make_unit(seed, comp_op=comp_op)
-        randomize_gates(unit, rng)
+        unit, reg = make_unit(seed, comp_op=comp_op)
+        randomize_gates(reg, rng)
         pair = make_pair(rng)
         slot = Tensor(rng.normal((4, 3), dtype=F64))
         got = unit.forward(pair, slot).data
         want = oracles.proto_forward(
-            oracles.params_dict(unit.registry), "ada", comp_op,
+            oracles.params_dict(reg), "ada", comp_op,
             pair.f1.data, pair.f2.data, 2, 2, slot.data,
         )
         np.testing.assert_allclose(got, want, atol=1e-10, rtol=0)
@@ -64,13 +68,13 @@ def test_std_attention_matches_oracle():
     for seed in range(10):
         rng = Rng(3000 + seed)
         cfg = AdaConfig(num_prototypes=1, proto_dim=3, feat_dim=3, comp_op="consistency")
-        unit = build_unit(cfg, Rng(seed), dtype=F64, form="std")
-        randomize_gates(unit, rng)
+        unit, reg = build(cfg, Rng(seed), form="std")
+        randomize_gates(reg, rng)
         pair = make_pair(rng, L=9, h=3, w=3)
         slot = Tensor(rng.normal((9, 3), dtype=F64))
         got = unit.forward(pair, slot).data
         want = oracles.std_forward(
-            oracles.params_dict(unit.registry), "std", "consistency",
+            oracles.params_dict(reg), "std", "consistency",
             pair.f1.data, pair.f2.data, 3, 3, slot.data,
         )
         np.testing.assert_allclose(got, want, atol=1e-10, rtol=0)
@@ -80,12 +84,12 @@ def test_std_attention_single_source_token():
     # with one key/value token the softmax weight is exactly 1
     rng = Rng(4)
     cfg = AdaConfig(num_prototypes=1, proto_dim=3, feat_dim=3, comp_op="identity")
-    unit = build_unit(cfg, Rng(1), dtype=F64, form="std")
-    randomize_gates(unit, rng)
+    unit, reg = build(cfg, Rng(1), form="std")
+    randomize_gates(reg, rng)
     pair = make_pair(rng, L=1, h=1, w=1)
     slot = Tensor(rng.normal((2, 3), dtype=F64))
     got = unit.forward(pair, slot).data
-    p = oracles.params_dict(unit.registry)
+    p = oracles.params_dict(reg)
     z = np.broadcast_to(pair.f1.data[0] @ p["std.w_o"], (2, 3))
     gated = slot.data + p["std.gate"] * z
     want = slot.data + oracles.ffn(gated, p, "std.ffn")
@@ -94,13 +98,13 @@ def test_std_attention_single_source_token():
 
 def test_aggregate_uniform_similarities_give_token_mean():
     # all source embeddings equal -> cosine row is constant -> uniform softmax
-    unit = make_unit(0, comp_op="identity")
+    unit, reg = make_unit(0, comp_op="identity")
     rng = Rng(88)
     row = rng.normal((3,), dtype=F64)
     k_fw = Tensor(np.tile(row, (4, 1)))
     v_fw = Tensor(rng.normal((4, 3), dtype=F64))
     got = unit.aggregate(k_fw, v_fw).data
-    p = oracles.params_dict(unit.registry)
+    p = oracles.params_dict(reg)
     mix = np.tile(v_fw.data.mean(axis=0), (2, 1))  # uniform 1/L mixture
     want = oracles.ffn(mix @ p["ada.w_o_fw"], p, "ada.ffn_fw")
     np.testing.assert_allclose(got, want, atol=1e-12)
@@ -117,7 +121,7 @@ def test_diffuse_single_prototype_softmax_is_one():
 
 
 def test_aggregation_permutation_invariance():
-    unit = make_unit(1)
+    unit, _ = make_unit(1)
     rng = Rng(10)
     k_fw = Tensor(rng.normal((6, 3), dtype=F64))
     v_fw = Tensor(rng.normal((6, 3), dtype=F64))
@@ -128,9 +132,9 @@ def test_aggregation_permutation_invariance():
 
 
 def test_diffusion_row_equivariance():
-    unit = make_unit(2)
+    unit, reg = make_unit(2)
     rng = Rng(12)
-    randomize_gates(unit, rng)
+    randomize_gates(reg, rng)
     p_tilde = Tensor(rng.normal((2, 3), dtype=F64))
     slot = Tensor(rng.normal((5, 3), dtype=F64))
     base = unit.diffuse(p_tilde, slot).data
@@ -141,7 +145,7 @@ def test_diffusion_row_equivariance():
 
 @pytest.mark.parametrize("comp_op", ["consistency", "difference"])
 def test_comp_embed_source_swap_invariance(comp_op):
-    unit = make_unit(3, comp_op=comp_op)
+    unit, _ = make_unit(3, comp_op=comp_op)
     pair = make_pair(Rng(14))
     k1, v1 = unit.comp_embed(pair)
     k2, v2 = unit.comp_embed(pair.swapped())
@@ -154,9 +158,9 @@ def test_consistency_with_ones_is_first_stream_passthrough():
     rng = Rng(15)
     f1 = Tensor(rng.normal((4, 3), dtype=F64))
     ones = Tensor(np.ones((4, 3), dtype=F64))
-    unit = make_unit(4, comp_op="consistency")
+    unit, reg = make_unit(4, comp_op="consistency")
     k_a, v_a = unit.comp_embed(SourcePair(f1, ones, 2, 2))
-    p = oracles.params_dict(unit.registry)
+    p = oracles.params_dict(reg)
     k_o, v_o = oracles.comp_embed(p, "ada.comp", f1.data, 2, 2)
     np.testing.assert_allclose(k_a.data, k_o, atol=1e-12)
     np.testing.assert_allclose(v_a.data, v_o, atol=1e-12)
@@ -165,9 +169,9 @@ def test_consistency_with_ones_is_first_stream_passthrough():
 def test_difference_identical_streams_projects_zeros():
     rng = Rng(16)
     f = Tensor(rng.normal((4, 3), dtype=F64))
-    unit = make_unit(5, comp_op="difference")
+    unit, reg = make_unit(5, comp_op="difference")
     k, v = unit.comp_embed(SourcePair(f, f, 2, 2))
-    p = oracles.params_dict(unit.registry)
+    p = oracles.params_dict(reg)
     k_o, v_o = oracles.comp_embed(p, "ada.comp", np.zeros((4, 3)), 2, 2)
     np.testing.assert_allclose(k.data, k_o, atol=1e-12)
     np.testing.assert_allclose(v.data, v_o, atol=1e-12)
@@ -176,9 +180,9 @@ def test_difference_identical_streams_projects_zeros():
 def test_comp_pooling_pyramid_matches_pixel_loop_oracle():
     rng = Rng(17)
     pair = make_pair(rng, L=16, h=4, w=4)
-    unit = make_unit(6, comp_op="consistency", L=16)
+    unit, reg = make_unit(6, comp_op="consistency", L=16)
     k, v = unit.comp_embed(pair)
-    p = oracles.params_dict(unit.registry)
+    p = oracles.params_dict(reg)
     k_o, v_o = oracles.comp_embed(p, "ada.comp", pair.f1.data * pair.f2.data, 4, 4)
     np.testing.assert_allclose(k.data, k_o, atol=1e-12)
     np.testing.assert_allclose(v.data, v_o, atol=1e-12)
@@ -190,7 +194,7 @@ def test_comp_pooling_pyramid_matches_pixel_loop_oracle():
 
 
 def test_zero_gate_output_independent_of_prototype_bank():
-    unit = make_unit(7)
+    unit, _ = make_unit(7)
     rng = Rng(18)
     pair = make_pair(rng)
     slot = Tensor(rng.normal((4, 3), dtype=F64))
@@ -201,12 +205,12 @@ def test_zero_gate_output_independent_of_prototype_bank():
 
 
 def test_zero_gate_identity_comp_gives_slot_plus_ffn():
-    unit = make_unit(8, comp_op="identity")
+    unit, reg = make_unit(8, comp_op="identity")
     rng = Rng(19)
     pair = make_pair(rng)
     slot = Tensor(rng.normal((4, 3), dtype=F64))
     got = unit.forward(pair, slot).data
-    p = oracles.params_dict(unit.registry)
+    p = oracles.params_dict(reg)
     want = slot.data + oracles.ffn(slot.data, p, "ada.ffn_bw")
     np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -218,7 +222,7 @@ def test_zero_gate_identity_comp_gives_slot_plus_ffn():
 
 def test_inf_sentinel_materializes_one_prototype_per_token():
     cfg = AdaConfig(num_prototypes=INF_PROTOTYPES, proto_dim=3, feat_dim=3)
-    unit = build_unit(cfg, Rng(0), num_source_tokens=9, dtype=F64)
+    unit, _ = build(cfg, Rng(0), L=9)
     assert unit.k == 9
     assert unit.prototypes.value.shape == (9, 3)
 
@@ -228,7 +232,7 @@ def test_identity_comp_requires_matching_dims():
     cfg = AdaConfig(num_prototypes=2, proto_dim=4, feat_dim=3, comp_op="identity")
     for form in ("ada", "std"):
         with pytest.raises(ValueError, match="proto_dim == feat_dim"):
-            build_unit(cfg, Rng(0), num_source_tokens=4, form=form)
+            build(cfg, Rng(0), L=4, form=form)
 
 
 def test_config_validation():
@@ -240,7 +244,7 @@ def test_config_validation():
 
 def test_default_smoke_on_8x8_grid():
     cfg = AdaConfig(num_prototypes=4, proto_dim=8, feat_dim=8)
-    unit = build_unit(cfg, Rng(0))
+    unit, _ = build(cfg, Rng(0), dtype=np.float32)
     rng = Rng(1)
     pair = SourcePair(
         Tensor(rng.normal((64, 8))), Tensor(rng.normal((64, 8))), 8, 8
@@ -259,15 +263,15 @@ def test_default_smoke_on_8x8_grid():
 def test_full_unit_gradient_check(k):
     rng = Rng(20 + k)
     cfg = AdaConfig(num_prototypes=k, proto_dim=8, feat_dim=8, comp_op="consistency")
-    unit = build_unit(cfg, rng, num_source_tokens=16, dtype=F64)
-    randomize_gates(unit, rng)
+    unit, reg = build(cfg, rng, L=16)
+    randomize_gates(reg, rng)
     pair = make_pair(rng, L=16, c=8, h=4, w=4)
     slot = Tensor(rng.normal((16, 8), dtype=F64))
 
     def f():
         return T.sum_all(unit.forward(pair, slot))
 
-    report = grad_check(f, unit.registry.all(), h=1e-5, tol=1e-4,
+    report = grad_check(f, reg.all(), h=1e-5, tol=1e-4,
                         max_elements_per_param=6)
     assert report.passed, report.summary()
 
@@ -298,9 +302,3 @@ def test_std_flops_superlinear():
     assert d2 > 0
     assert (t(4096) - t(3072)) - (t(3072) - t(2048)) == d2
 
-
-def test_params_of_counts_every_element():
-    unit = make_unit(9)
-    assert params_of(unit) == sum(
-        p.value.data.size for p in unit.registry.all()
-    )

@@ -63,8 +63,9 @@ def test_parse_variant():
     assert parse_variant("ada:4") == ("ada", 4.0)
     kind, k = parse_variant("ada:inf")
     assert kind == "ada" and math.isinf(k)
-    with pytest.raises(ValueError):
-        parse_variant("foo:4")
+    for bad in ("foo:4", "ada:0", "ada:-1", "ada:x", "ada:", "ada"):
+        with pytest.raises(ValueError, match="unknown variant tag"):
+            parse_variant(bad)
 
 
 def test_sweep_config_validation():
@@ -76,6 +77,10 @@ def test_sweep_config_validation():
         SweepConfig(trials=2)
     with pytest.raises(ValueError):
         SweepConfig(token_counts=(200,))  # not a perfect square
+    # every tag is checked when the config is built, before any variant runs
+    for tag in ("bogus", "ada:0", "ada:-2", "ada:four"):
+        with pytest.raises(ValueError, match="unknown variant tag"):
+            SweepConfig(variants=("ada:4", tag))
 
 
 def test_dominant_buffer_quadratic_for_dense_variants():
@@ -98,7 +103,8 @@ def test_small_sweep_rows_and_flops(monkeypatch):
         assert not r.skipped
         assert r.wall_time_s > 0
         assert r.peak_elements > 0
-        assert r.params > 0
+        # every parameter element of a unit at C = D = 8 and K = 4
+        assert r.params == {"ada": 1464, "std": 880}[r.variant]
         k = None if r.variant == "std" else (INF_PROTOTYPES if r.K == "inf" else float(r.K))
         expect = flops_of(r.variant, r.L, r.L, r.D, r.C, K=k)
         assert r.flops == expect["total"]

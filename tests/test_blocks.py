@@ -22,18 +22,16 @@ def make_pair(rng, L=16, c=4, h=4, w=4):
 
 def build_ceb(seed, c=4, k=2, L=16, attention_form="ada"):
     cfg = AdaConfig(num_prototypes=k, proto_dim=c, feat_dim=c, comp_op="consistency")
-    reg = ParamRegistry()
-    blk = ConsistencyBlock(cfg, reg, Rng(seed), num_source_tokens=L,
-                           attention_form=attention_form, dtype=F64)
+    reg = ParamRegistry(Rng(seed), F64)
+    blk = ConsistencyBlock(cfg, reg, num_source_tokens=L, attention_form=attention_form)
     return blk, reg
 
 
 def build_dab(seed, c=4, k=2, L=16, deeper_dim=6, mixer_only=False, attention_form="ada"):
     cfg = AdaConfig(num_prototypes=k, proto_dim=c, feat_dim=c, comp_op="difference")
-    reg = ParamRegistry()
-    blk = DifferenceBlock(cfg, reg, Rng(seed), deeper_dim=deeper_dim,
-                          num_source_tokens=L, mixer_only=mixer_only,
-                          attention_form=attention_form, dtype=F64)
+    reg = ParamRegistry(Rng(seed), F64)
+    blk = DifferenceBlock(cfg, reg, deeper_dim=deeper_dim, num_source_tokens=L,
+                          mixer_only=mixer_only, attention_form=attention_form)
     return blk, reg
 
 

@@ -147,6 +147,11 @@ def test_train_then_eval_round_trip(tmp_path, capsys, task):
         assert 0.0 <= float(rows[-1]["F1"]) <= 1.0
     else:
         assert float(rows[-1]["rmse"]) >= 0.0
+        # each aggregate GAME_l is the mean of its per-image column, within
+        # the CSV's rounding of both to 6 decimals
+        for lv in range(4):
+            col = [float(r[f"game_{lv}"]) for r in rows[:-1]]
+            assert float(rows[-1][f"game_{lv}"]) == pytest.approx(np.mean(col), abs=1e-6 + 1e-12)
 
 
 def test_eval_is_deterministic(tmp_path):
@@ -200,6 +205,17 @@ def test_bench_small_sweep_writes_csv(tmp_path, monkeypatch):
     rows = list(csv.DictReader(body))
     assert len(rows) == 3
     assert all(r["variant"] == "ada" for r in rows)
+
+
+def test_bench_bad_variant_exits_before_timing_anything(tmp_path, monkeypatch, capsys):
+    timed = []
+    monkeypatch.setattr(bench, "_run_once", lambda *a: timed.append(a) or 1e-3)
+    out = tmp_path / "bench.csv"
+    rc = run_cli("bench", "--tokens", "16,64,256", "--variants", "ada:4,bogus",
+                 "--out", str(out))
+    assert rc == 1
+    assert "'bogus'" in capsys.readouterr().err
+    assert timed == [] and not out.exists()
 
 
 # -- parser-level behavior ---------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package or of its tests imports a name it never uses."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bisource"
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(ROOT.glob("src/bisource/*.py")) + sorted(ROOT.glob("tests/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -48,6 +49,6 @@ def test_checker_flags_unused_and_honours_all_and_future():
     assert unused_imports(src) == ["pi (line 4)"]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

@@ -7,6 +7,7 @@ import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from bisource import (
     ablation_variant,
     train_step,
 )
-from bisource.ada import INF_PROTOTYPES
+from bisource.ada import INF_PROTOTYPES, AdaConfig, ParamRegistry, make_attention
 from bisource.model import cosine_lr
 from bisource import data
 from bisource import tensor as T
@@ -356,29 +357,44 @@ def test_load_state_shape_mismatch_raises():
 # Digests of every parameter's name, shape, dtype and bytes, in registry order,
 # recorded before the attention units and MLPs were folded into shared classes:
 # a refactor must keep parameter names, creation order and seeded draws.
+def _seeded_model(dtype=np.float32, **kw) -> ParamRegistry:
+    return BiSourceModel(ModelConfig(base_channels=8, **kw), seed=3, dtype=dtype).registry
+
+
+def _seeded_std_unit() -> ParamRegistry:
+    reg = ParamRegistry(Rng(3), np.float32)
+    make_attention("std", AdaConfig(), reg)
+    return reg
+
+
+# label: (registry builder, parameter count, digest of names, shapes, dtypes and bytes)
 SEEDED_PARAM_DIGESTS = {
-    "binary": ({}, 260, "0ba4d9a4d4122a7df6733c5d9a1bad6d"),
-    "std": ({"attention_form": "std"}, 183, "9adacda12a50e39c2d364f013671719a"),
-    "multiclass": ({"head": "multiclass", "n_classes": 3}, 260, "0edd4e02811b2d051d3b460eb3f93c5a"),
-    "density": ({"head": "density"}, 260, "0ba4d9a4d4122a7df6733c5d9a1bad6d"),
-    "ablate_all": ({"ablate": ("ceb", "dab", "compops")}, 92, "539eee47efc1bac595022cbae5b549f2"),
-    "k_inf_32": ({"num_prototypes": INF_PROTOTYPES, "input_hw": (32, 32)}, 260,
+    "binary": (_seeded_model, 260, "0ba4d9a4d4122a7df6733c5d9a1bad6d"),
+    "std": (partial(_seeded_model, attention_form="std"), 183, "9adacda12a50e39c2d364f013671719a"),
+    "multiclass": (partial(_seeded_model, head="multiclass", n_classes=3), 260,
+                   "0edd4e02811b2d051d3b460eb3f93c5a"),
+    "density": (partial(_seeded_model, head="density"), 260, "0ba4d9a4d4122a7df6733c5d9a1bad6d"),
+    "ablate_all": (partial(_seeded_model, ablate=("ceb", "dab", "compops")), 92,
+                   "539eee47efc1bac595022cbae5b549f2"),
+    "k_inf_32": (partial(_seeded_model, num_prototypes=INF_PROTOTYPES, input_hw=(32, 32)), 260,
                  "3ef54e1a63cf9642799c2643531840e9"),
+    "float64": (partial(_seeded_model, np.float64), 260, "b00322b7f9e9ee8ae8707d643e34657f"),
+    "std_unit": (_seeded_std_unit, 13, "b9ec74d3a3d530b3a358716dc7ebd66c"),
 }
 
 
 @pytest.mark.parametrize("label", sorted(SEEDED_PARAM_DIGESTS))
 def test_seeded_parameters_are_pinned(label):
-    kw, count, digest = SEEDED_PARAM_DIGESTS[label]
-    m = BiSourceModel(ModelConfig(base_channels=8, **kw), seed=3)
+    build, count, digest = SEEDED_PARAM_DIGESTS[label]
+    params = build().all()
     h = hashlib.blake2b(digest_size=16)
-    for p in m.parameters():
+    for p in params:
         a = p.value.data
         h.update(p.name.encode())
         h.update(str(a.shape).encode())
         h.update(str(a.dtype).encode())
         h.update(np.ascontiguousarray(a).tobytes())
-    assert len(m.parameters()) == count
+    assert len(params) == count
     assert h.hexdigest() == digest
 
 
