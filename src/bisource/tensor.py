@@ -35,6 +35,16 @@ column instead of normalising the probabilities, and skips the max shift for
 a sample whose scores are bounded by ATTN_SHIFT_LIMIT; its output agrees with
 the taped path's to float rounding (a few 1e-6 of the peak in float32), not
 bit for bit.
+
+Untaped float32 calls of ``gelu``, ``layer_norm`` and ``avg_pool_2d`` are
+inference calls (``_inference``): no gradient and no float64 replay depends on
+their bits, so they take forms that cost about their arithmetic.  ``gelu``
+takes a clamped rational float32 erf, within 2.5e-7 |x| of the float64 GELU;
+``avg_pool_2d`` adds shifted float32 slices, within window^2 float32 epsilons
+of the window's mean |x|; ``layer_norm`` takes its row moments as einsum dot
+products, within 8 float32 epsilons of the row's scale |gain| max|x| / sigma
++ |bias|.  Each gives a sample the bits it has alone.  Taped calls and float64
+calls keep the exact forms, bit for bit.
 """
 
 from __future__ import annotations
@@ -516,10 +526,71 @@ def relu(x: Tensor) -> Tensor:
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
+# Elements per chunk of the inference GELU: its three float32 work buffers
+# and the output chunk (64 KB each) stay in cache, and no temporary is as
+# large as x.
+GELU_CHUNK = 16384
+# erf(t) ~ t P(t^2) / Q(t^2) on t clamped to [-4, 4], where float32 erf is
+# +-1: the float32 rational of Eigen's generic_fast_erf_float (also XLA's
+# ErfImpl32), highest power first.  Q's coefficients are doubled, which is
+# exact, so that P / Q is erf / 2.
+_ERF_P = [np.float32(a) for a in (
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+    -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+    -1.60960333262415e-02)]
+_ERF_2Q = [np.float32(2 * b) for b in (
+    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+    -7.37332916720468e-03, -1.42647390514189e-02)]
+
+
+def _inference(x: Tensor) -> bool:
+    """Whether a gelu, layer_norm or avg_pool_2d call on x takes its inference
+    form: float32 with no Tape active, so no gradient and no float64 replay
+    depends on its bits."""
+    return x.data.dtype == np.float32 and _active_tape.get() is None
+
+
+def _gelu_rational(x: np.ndarray) -> np.ndarray:
+    """x Phi(x) in float32 with the rational erf, GELU_CHUNK elements at a time."""
+    out = np.empty_like(x)
+    xs, outs = x.reshape(-1), out.reshape(-1)
+    t, t2, q = np.empty((3, min(GELU_CHUNK, x.size)), dtype=np.float32)
+    for start in range(0, x.size, GELU_CHUNK):
+        xc, o = xs[start : start + GELU_CHUNK], outs[start : start + GELU_CHUNK]
+        n = xc.size
+        tc, t2c, qc = t[:n], t2[:n], q[:n]
+        np.multiply(xc, np.float32(_INV_SQRT2), out=tc)
+        np.minimum(tc, np.float32(4), out=tc)  # a NaN stays NaN
+        np.maximum(tc, np.float32(-4), out=tc)
+        np.multiply(tc, tc, out=t2c)
+        np.multiply(t2c, _ERF_P[0], out=o)
+        for a in _ERF_P[1:-1]:
+            o += a
+            o *= t2c
+        o += _ERF_P[-1]
+        o *= tc
+        np.multiply(t2c, _ERF_2Q[0], out=qc)
+        for c in _ERF_2Q[1:-1]:
+            qc += c
+            qc *= t2c
+        qc += _ERF_2Q[-1]
+        o /= qc  # erf / 2; adding 1/2 gives the bits of (1 + erf) / 2
+        o += np.float32(0.5)
+        o *= xc
+    return out
 
 
 def gelu(x: Tensor) -> Tensor:
-    # exact erf form
+    """x Phi(x), Phi the normal CDF, with scipy's erf in x's dtype.
+
+    An inference call (``_inference``: float32, no Tape) takes the rational
+    float32 erf of ``_gelu_rational`` instead: within 4.5e-7 of float64's
+    erf, so the output is within 2.5e-7 |x| of the float64 GELU (measured
+    2.2e-7 |x|).  Taped and float64 calls keep scipy's erf and its bits.
+    """
+    if _inference(x):
+        with np.errstate(invalid="ignore"):  # -inf gives NaN, which _out reports
+            return _out(_gelu_rational(x.data), None)
     cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
 
     def fn(g: np.ndarray) -> None:
@@ -719,10 +790,21 @@ def cosine_rows(q: Tensor, k: Tensor, b: int = 1) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, b: int = 1) -> Tensor:
     """Per-row zero mean / unit variance over the last axis, then affine, for
-    b samples stacked in x's rows."""
+    b samples stacked in x's rows.
+
+    Taped and float64 calls compute the row moments as np.mean and np.var
+    do, bit for bit.  An inference call (``_inference``: float32, no Tape)
+    takes them as einsum dot products with a 1/C vector
+    (``_layer_norm_einsum``): within 8 float32 epsilons of the float64 form,
+    relative to each row's scale |gain| max|x| / sigma + |bias| (measured
+    2.0, as for the taped float32 form).
+    """
     c = x.shape[-1]
     if gain.shape != (c,) or bias.shape != (c,) or x.shape[0] % b:
         raise ShapeError(f"layer_norm: gain/bias must be ({c},), rows {b} samples")
+    if _inference(x):
+        with np.errstate(invalid="ignore"):  # an Inf gives NaN, which _out reports
+            return _out(_layer_norm_einsum(x.data, gain.data, bias.data), None)
     # the steps of np.mean and np.var, sharing the centred values: same bits
     d = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / c
     var = np.add.reduce(d * d, axis=-1, keepdims=True) / c
@@ -740,6 +822,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, b: int = 1) -> Tensor:
         _accum(x, ((gx - m1 - xhat * m2) * inv).astype(x.data.dtype, copy=False))
 
     return _out((xhat * gain.data + bias.data).astype(x.data.dtype, copy=False), fn)
+
+
+def _layer_norm_einsum(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """layer_norm's float32 inference form.  einsum reduces each row by
+    itself, in the same order whatever the row count; a BLAS matrix-vector
+    product (x @ w) can round a lone row differently from the same row in a
+    batch, so a sample would not keep its bits."""
+    w = np.full(x.shape[-1], 1.0 / max(x.shape[-1], 1), dtype=np.float32)
+    d = x - np.einsum("...j,j->...", x, w)[..., None]
+    out = np.multiply(d, d)
+    inv = np.einsum("...j,j->...", out, w)[..., None]
+    inv += np.float32(LN_EPS)
+    np.sqrt(inv, out=inv)
+    np.divide(np.float32(1), inv, out=inv)
+    np.multiply(d, inv, out=out)
+    out *= gain
+    out += bias
+    return out
 
 
 def _box_sum(a: np.ndarray, window: int) -> np.ndarray:
@@ -763,6 +863,22 @@ def _box_sum(a: np.ndarray, window: int) -> np.ndarray:
     return out.astype(a.dtype)
 
 
+def _box_sum_shifted(a: np.ndarray, window: int) -> np.ndarray:
+    """_box_sum in a's own dtype: each axis's window sums as sums of shifted
+    slices, the rows' first, clipped at the borders.  Each pixel adds its
+    window's values in the same order whatever the batch size."""
+    r = window // 2
+    rows = a.copy()
+    for s in range(1, r + 1):
+        rows[..., s:, :, :] += a[..., :-s, :, :]
+        rows[..., :-s, :, :] += a[..., s:, :, :]
+    out = rows.copy()
+    for s in range(1, r + 1):
+        out[..., s:, :] += rows[..., :-s, :]
+        out[..., :-s, :] += rows[..., s:, :]
+    return out
+
+
 _counts_cache: dict[tuple[int, int, int, str], np.ndarray] = {}
 
 
@@ -784,7 +900,15 @@ def _valid_counts(h: int, w: int, window: int, dtype) -> np.ndarray:
 
 def avg_pool_2d(x: Tensor, window: int) -> Tensor:
     """Shape-preserving average pooling (stride 1) with count-of-valid edges,
-    of [H, W, C] or of each sample of [B, H, W, C]."""
+    of [H, W, C] or of each sample of [B, H, W, C].
+
+    Taped and float64 calls take their window sums from a float64 integral
+    image (``_box_sum``).  An inference call (``_inference``: float32, no
+    Tape) adds shifted float32 slices instead (``_box_sum_shifted``): at
+    most window^2 - 1 additions and one division, each rounding by half a
+    float32 epsilon, so the output is within window^2 float32 epsilons of
+    the window's mean |x| of the float64 average (measured 1.25).
+    """
     if window % 2 == 0:
         raise ShapeError("avg_pool_2d: window must be odd")
     if x.data.ndim not in (3, 4):
@@ -795,6 +919,11 @@ def avg_pool_2d(x: Tensor, window: int) -> Tensor:
         return _out(x.data.copy(), fn_id)
     h, w = x.shape[-3:-1]
     counts = _valid_counts(h, w, window, x.data.dtype)[:, :, None]
+    if _inference(x):
+        with np.errstate(over="ignore", invalid="ignore"):  # a NaN or Inf is reported by _out
+            sums = _box_sum_shifted(x.data, window)
+        sums /= counts
+        return _out(sums, None)
     y = _box_sum(x.data, window) / counts
 
     def fn(g: np.ndarray) -> None:

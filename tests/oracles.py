@@ -69,6 +69,12 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 
 
+def gelu_scipy_erf(x: np.ndarray) -> np.ndarray:
+    """The tensor engine's exact gelu forward, with scipy's erf in x's dtype;
+    its taped and float64 calls must reproduce these bits exactly."""
+    return (x * (0.5 * (1.0 + erf(x * 0.7071067811865476)))).astype(x.dtype)
+
+
 def cosine(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     nq = np.maximum(np.linalg.norm(q, axis=1, keepdims=True), COS_EPS)
     nk = np.maximum(np.linalg.norm(k, axis=1, keepdims=True), COS_EPS)

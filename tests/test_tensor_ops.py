@@ -1,5 +1,6 @@
 """Tensor engine: forward examples, gradient checks, stability, file formats."""
 
+import contextlib
 import gc
 import hashlib
 import json
@@ -186,17 +187,121 @@ def _grid(shape, dtype) -> np.ndarray:
 @pytest.mark.parametrize("dtype", [np.float32, F64])
 @pytest.mark.parametrize("shape", BIT_GRIDS, ids=lambda s: "x".join(map(str, s)))
 def test_box_sum_and_layer_norm_bits_match_their_references(shape, dtype):
+    # float32 under a Tape, as training runs it; untaped float32 takes the
+    # inference forms, whose accuracy the tests below bound
     x = _grid(shape, dtype)
-    for window in (3, 5):
-        sums = oracles.box_sum_ix(x, window)
-        _assert_same_bits(T._box_sum(x, window), sums)
-        counts = T._valid_counts(*shape[:2], window, dtype)[:, :, None]
-        _assert_same_bits(T.avg_pool_2d(Tensor(x), window).data, sums / counts)
+    with Tape() if dtype == np.float32 else contextlib.nullcontext():
+        for window in (3, 5):
+            sums = oracles.box_sum_ix(x, window)
+            _assert_same_bits(T._box_sum(x, window), sums)
+            counts = T._valid_counts(*shape[:2], window, dtype)[:, :, None]
+            _assert_same_bits(T.avg_pool_2d(Tensor(x), window).data, sums / counts)
+        c = shape[-1]
+        gain = Rng(1).normal((c,), dtype=dtype)
+        bias = Rng(2).normal((c,), dtype=dtype)
+        got = T.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
+        _assert_same_bits(got, oracles.layer_norm_np_var(x, gain, bias))
+        _assert_same_bits(T.gelu(Tensor(x)).data, oracles.gelu_scipy_erf(x))
+
+
+# Untaped float32 gelu, layer_norm and avg_pool_2d take their inference forms;
+# each is held to a bound against a float64 oracle, stated with the op.
+EPS32 = float(np.finfo(np.float32).eps)
+GELU_SIZES = [0, 1, T.GELU_CHUNK - 1, T.GELU_CHUNK, T.GELU_CHUNK + 1, 3 * T.GELU_CHUNK + 5]
+
+
+@pytest.mark.parametrize("size", GELU_SIZES)
+def test_inference_gelu_is_within_its_bound_of_float64(size):
+    x = Rng(size).normal((size,), dtype=np.float32) * 4  # 16% past the erf clamp, |x| > 4 sqrt 2
+    edges = np.float32([4, 5.65, 5.66, -5.66, 6, -6, 30, -30, 1e30, -1e30, 3e38, -3e38, 0, -0.0, 1e-30])
+    x[: len(edges)] = edges[: size]
+    got = T.gelu(Tensor(x)).data
+    assert got.dtype == np.float32 and got.shape == (size,)
+    x64 = x.astype(F64)
+    # rational erf within 4.5e-7 of float64's; measured at most 2.22e-7 |x|
+    bound = 2.5e-7 * np.abs(x64) + np.finfo(np.float32).tiny
+    assert (np.abs(got - oracles.gelu(x64)) <= bound).all()
+    assert (got[x64 > 5.66] == x[x64 > 5.66]).all()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 2), (64, 16), (256, 384), (4096, 48), (64, 1000),
+                                   (3, 7, 2), (16, 16, 16), (2, 2, 128)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_inference_layer_norm_is_within_its_bound_of_float64(shape):
+    x = Rng(sum(shape)).normal(shape, dtype=np.float32) * 3 + 1
     c = shape[-1]
-    gain = Rng(1).normal((c,), dtype=dtype)
-    bias = Rng(2).normal((c,), dtype=dtype)
+    gain = Rng(1).normal((c,), dtype=np.float32)
+    bias = Rng(2).normal((c,), dtype=np.float32)
     got = T.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
-    _assert_same_bits(got, oracles.layer_norm_np_var(x, gain, bias))
+    assert got.dtype == np.float32 and got.shape == shape
+    x64 = x.astype(F64)
+    want = oracles.layer_norm(x64, gain.astype(F64), bias.astype(F64))
+    # a row's scale: the rounding of x - mean counts relative to max|x| / sigma;
+    # measured at most 2.0 EPS32 of it, as for the taped float32 form
+    sigma = np.sqrt(x64.var(-1, keepdims=True) + oracles.LN_EPS)
+    scale = np.abs(gain) * np.abs(x64).max(-1, keepdims=True) / sigma + np.abs(bias)
+    assert (np.abs(got - want) <= 8 * EPS32 * scale).all()
+
+
+@pytest.mark.parametrize("window", [3, 5])
+@pytest.mark.parametrize("shape", [(1, 1, 3), (6, 7, 3), (2, 2, 128), (64, 64, 16),
+                                   (3, 5, 9, 4), (8, 1, 1, 8), (2, 16, 16, 16)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_inference_avg_pool_is_within_its_bound_of_float64(shape, window):
+    x = Rng(sum(shape) + window).normal(shape, dtype=np.float32)
+    got = T.avg_pool_2d(Tensor(x), window).data
+    assert got.dtype == np.float32 and got.shape == shape
+    grids = x.astype(F64).reshape((-1,) + shape[-3:])
+    want = np.stack([oracles.avg_pool_loops(g, window) for g in grids]).reshape(shape)
+    mean_abs = np.stack([oracles.avg_pool_loops(np.abs(g), window) for g in grids]).reshape(shape)
+    # at most window^2 - 1 float32 additions and one division, each rounding
+    # by at most EPS32 / 2 of the window's sum of |x|; measured 1.25 EPS32
+    assert (np.abs(got - want) <= window * window * EPS32 * mean_abs).all()
+
+
+def _inference_ops(rng: Rng, c: int):
+    gain, bias = (Tensor(rng.normal((c,), dtype=np.float32)) for _ in range(2))
+    return {
+        "gelu": T.gelu,
+        "layer_norm": lambda x: T.layer_norm(x, gain, bias),
+        "avg_pool_3": lambda x: T.avg_pool_2d(x, 3),
+        "avg_pool_5": lambda x: T.avg_pool_2d(x, 5),
+    }
+
+
+@pytest.mark.parametrize("c", [1, 2, 16, 48, 128, 384])
+def test_inference_forms_give_a_row_or_pixel_its_bits_alone_and_in_a_batch(c):
+    # a BLAS matrix-vector product in layer_norm rounds a lone 1 x 128 row
+    # differently from the same row inside a batch; einsum does not
+    rng = Rng(c)
+    ops = _inference_ops(rng, c)
+    rows = Tensor(rng.normal((64, c), dtype=np.float32) * 3)
+    for name in ("gelu", "layer_norm"):
+        got = ops[name](rows).data
+        for i in (0, 1, 31, 63):
+            assert got[i].tobytes() == ops[name](Tensor(rows.data[i : i + 1])).data.tobytes(), name
+    for hw in ((1, 1), (2, 3), (9, 9)):
+        grids = Tensor(rng.normal((5,) + hw + (c,), dtype=np.float32))
+        for name in ("gelu", "avg_pool_3", "avg_pool_5"):
+            got = ops[name](grids).data
+            for i in range(5):
+                alone = ops[name](Tensor(grids.data[i])).data
+                assert got[i].tobytes() == alone.tobytes(), name
+                assert ops[name](Tensor(grids.data[i : i + 1])).data[0].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_inference_forms_name_their_op_on_a_non_finite_input(bad):
+    for name, op in _inference_ops(Rng(3), 4).items():
+        for shape in ((1, 1, 4), (2, 5, 6, 4)):
+            size = int(np.prod(shape))
+            for pos in sorted({0, size // 2, size - 1}):
+                x = np.ones(shape, dtype=np.float32)
+                x.reshape(-1)[pos] = bad
+                op_name = "avg_pool_2d" if name.startswith("avg_pool") else name
+                with pytest.raises(NumericalError, match=f"^{op_name}: ") as info:
+                    op(Tensor(x))
+                assert f"shape {shape}" in str(info.value) and "float32" in str(info.value)
 
 
 def test_valid_counts_are_cached_read_only():
