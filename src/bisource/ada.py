@@ -8,6 +8,7 @@ same front-end and residual wrapper is provided for scaling comparisons.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,20 @@ from .tensor import Parameter, Rng, Tensor
 INF_PROTOTYPES = math.inf
 
 COMP_OPS = ("consistency", "difference", "identity")
+
+
+def prototype_count(value) -> float:
+    """A prototype count as a float: a positive integer, an integral float, a
+    digit string, or "inf" (INF_PROTOTYPES, one prototype per source token)."""
+    if isinstance(value, str):
+        if value.lower() == "inf":
+            return INF_PROTOTYPES
+        if value.isascii() and value.isdigit() and int(value) >= 1:
+            return float(value)
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if value == INF_PROTOTYPES or (value >= 1 and float(value).is_integer()):
+            return float(value)
+    raise ValueError(f"prototype count must be a positive integer or 'inf', got {value!r}")
 
 
 @dataclass
@@ -31,8 +46,7 @@ class AdaConfig:
     def __post_init__(self) -> None:
         if self.comp_op not in COMP_OPS:
             raise ValueError(f"comp_op must be one of {COMP_OPS}")
-        if self.num_prototypes != INF_PROTOTYPES and int(self.num_prototypes) < 1:
-            raise ValueError("num_prototypes must be >= 1 or inf")
+        self.num_prototypes = prototype_count(self.num_prototypes)
         if self.proto_dim < 1 or self.feat_dim < 1:
             raise ValueError("dims must be >= 1")
 

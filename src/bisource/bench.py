@@ -10,7 +10,7 @@ import csv
 import gc
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,14 +22,11 @@ from .ada import (
     SourcePair,
     flops_of,
     make_attention,
+    prototype_count,
 )
 from .tensor import Rng, Tensor, alloc_stats
 
 CSV_SCHEMA_COMMENT = "# bisource-bench schema v1"
-CSV_COLUMNS = [
-    "variant", "K", "L", "C", "D", "flops", "params",
-    "wall_time_s", "peak_elements", "skipped", "skip_reason",
-]
 
 # skip a variant when its dominant single buffer would exceed this many
 # elements (dense attention and the per-token-prototype variant are
@@ -72,6 +69,8 @@ class SweepConfig:
 
 @dataclass
 class BenchRow:
+    """One sweep point; its fields are the CSV's columns, in order."""
+
     variant: str
     K: str
     L: int
@@ -84,8 +83,8 @@ class BenchRow:
     skipped: bool = False
     skip_reason: str = ""
 
-    def as_record(self) -> dict:
-        return {c: getattr(self, {"K": "K"}.get(c, c)) for c in CSV_COLUMNS}
+
+CSV_COLUMNS = [f.name for f in fields(BenchRow)]
 
 
 def parse_variant(tag: str) -> tuple[str, float | None]:
@@ -93,11 +92,10 @@ def parse_variant(tag: str) -> tuple[str, float | None]:
     if tag == "std":
         return "std", None
     if tag.startswith("ada:"):
-        k = tag.split(":", 1)[1]
-        if k == "inf":
-            return "ada", INF_PROTOTYPES
-        if k.isdecimal() and int(k) >= 1:
-            return "ada", float(int(k))
+        try:
+            return "ada", prototype_count(tag[4:])
+        except ValueError:
+            pass
     raise ValueError(f"unknown variant tag {tag!r}; expected std, ada:inf or ada:K with K >= 1")
 
 
@@ -199,7 +197,7 @@ def write_csv(path: str | Path, rows: list[BenchRow]) -> None:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         for r in rows:
-            writer.writerow(r.as_record())
+            writer.writerow(asdict(r))
 
 
 def fit_loglog_slope(rows: list[BenchRow], metric: str) -> tuple[float, float]:

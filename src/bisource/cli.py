@@ -1,11 +1,12 @@
 """Command-line entry point.
 
 Subcommands: gen-data (synthetic datasets), train, eval, gradcheck, bench.
-Every subcommand accepts --config pointing at a JSON file whose keys mirror
-the flag names (underscored); explicit flags win over config values.  All
-randomness is derived from --seed.  Exit status is 0 on success; failures
-print a single machine-parseable line ``bisource: error: <Type>: <message>``
-to stderr and exit 1.
+Every subcommand accepts --config pointing at a JSON object whose keys are
+the subcommand's flag names (underscored).  Its values become the flags'
+defaults: string values are converted like the typed flag values, and
+explicit flags win.  All randomness is derived from --seed.  Exit status is 0
+on success; failures print a single machine-parseable line
+``bisource: error: <Type>: <message>`` to stderr and exit 1.
 
 Eval CSV column order:
   change task:  image,Pre,Rec,F1,IOU,OA
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import tensor as T
-from .ada import INF_PROTOTYPES, AdaConfig, ParamRegistry, SourcePair, make_attention
+from .ada import AdaConfig, ParamRegistry, SourcePair, make_attention
 from .blocks import ConsistencyBlock, DifferenceBlock
 from .data import generate_dataset, load_dataset
 from .gradcheck import grad_check
@@ -49,55 +50,34 @@ from .model import (
 )
 from .tensor import NumericalError, Parameter, Rng, Tensor
 
-GRADCHECK_SCOPES = ("op", "ada", "ceb", "dab", "model", "batch")
+# the head each task's model is built with
+TASK_HEADS = {"change": "binary", "density": "density"}
+
+CHANGE_COLUMNS = ("Pre", "Rec", "F1", "IOU", "OA")
 
 
-# ---------------------------------------------------------------------------
-# flag / config plumbing
-# ---------------------------------------------------------------------------
+def _comma_list(value: str) -> list[str]:
+    return [s for s in value.split(",") if s]
 
 
-def _add(sub: argparse.ArgumentParser, defaults: dict, *flags: str, **kw) -> None:
-    """Register a flag whose absence is detectable (for JSON config merge)."""
-    default = kw.pop("default", None)
-    dest = kw.get("dest") or flags[0].lstrip("-").replace("-", "_")
-    defaults[dest] = default
-    kw["default"] = argparse.SUPPRESS
-    sub.add_argument(*flags, **kw)
+def _task_dataset(path, task: str) -> tuple[dict, list]:
+    """The manifest and samples of the dataset at ``path``, which must hold ``task``."""
+    manifest, samples = load_dataset(path)
+    if manifest["task"] != task:
+        raise ValueError(f"dataset task {manifest['task']!r} != requested {task!r}")
+    return manifest, samples
 
 
-def _resolve(ns: argparse.Namespace, defaults: dict) -> dict:
-    explicit = {k: v for k, v in vars(ns).items() if k not in ("func", "defaults")}
-    merged = dict(defaults)
-    cfg_path = explicit.pop("config", None) or defaults.get("config")
-    if cfg_path:
-        cfg = load_json(cfg_path)
-        unknown = set(cfg) - set(defaults)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(cfg)
-    merged.update(explicit)
-    merged.pop("config", None)
-    return merged
-
-
-def _parse_k(value) -> float:
-    if value in ("inf", "Inf", "INF", math.inf):
-        return INF_PROTOTYPES
-    return float(int(value))
-
-
-def _parse_ablate(value) -> tuple[str, ...]:
-    if not value:
-        return ()
-    if isinstance(value, (list, tuple)):
-        items = [str(v) for v in value]
-    else:
-        items = [s for s in str(value).split(",") if s]
-    bad = set(items) - set(ABLATIONS)
-    if bad:
-        raise ValueError(f"unknown ablations {sorted(bad)}; choose from {ABLATIONS}")
-    return tuple(items)
+def change_scores(model: BiSourceModel, samples) -> tuple[list[dict], dict]:
+    """Pre/Rec/F1/IOU/OA of each sample's change mask, and of their pooled
+    confusion counts."""
+    pooled = ConfusionCounts()
+    per_sample = []
+    for img1, img2, target in samples:
+        c = confusion_binary(model.predict(img1, img2), (target > 0.5).astype(np.uint8))
+        pooled.add(c)
+        per_sample.append(binary_metrics_from_counts(c).values)
+    return per_sample, binary_metrics_from_counts(pooled).values
 
 
 # ---------------------------------------------------------------------------
@@ -105,28 +85,15 @@ def _parse_ablate(value) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen_data(o: dict) -> int:
-    manifest = generate_dataset(o["task"], o["out"], int(o["count"]), int(o["size"]), int(o["seed"]))
-    print(f"wrote {manifest['count']} {o['task']} pairs to {o['out']}")
+def cmd_gen_data(o: argparse.Namespace) -> int:
+    manifest = generate_dataset(o.task, o.out, o.count, o.size, o.seed)
+    print(f"wrote {manifest['count']} {o.task} pairs to {o.out}")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
-
-
-def _model_config_from_opts(o: dict, input_hw: tuple[int, int]) -> ModelConfig:
-    head = {"change": "binary", "density": "density"}[o["task"]]
-    return ModelConfig(
-        in_channels=1,
-        base_channels=int(o["channels"]),
-        num_prototypes=_parse_k(o["k"]),
-        attention_form=o["attention"],
-        head=head,
-        input_hw=input_hw,
-        ablate=_parse_ablate(o["ablate"]),
-    )
 
 
 def _save_checkpoint(path: Path, model: BiSourceModel) -> None:
@@ -161,49 +128,37 @@ def load_checkpoint(path: str | Path) -> BiSourceModel:
     return model
 
 
-def _eval_f1(model: BiSourceModel, samples) -> float:
-    pooled = ConfusionCounts()
-    for img1, img2, target in samples:
-        pred = model.predict(img1, img2)
-        pooled.add(confusion_binary(pred, (target > 0.5).astype(np.uint8)))
-    return binary_metrics_from_counts(pooled).values["F1"]
-
-
-def cmd_train(o: dict) -> int:
-    manifest, samples = load_dataset(o["data"])
-    if manifest["task"] != o["task"]:
-        raise ValueError(f"dataset task {manifest['task']!r} != requested {o['task']!r}")
+def cmd_train(o: argparse.Namespace) -> int:
+    manifest, samples = _task_dataset(o.data, o.task)
     if not samples:
         raise ValueError("dataset is empty")
     size = int(manifest["size"])
-    model = BiSourceModel(_model_config_from_opts(o, (size, size)), seed=int(o["seed"]))
-    out_dir = Path(o["out"])
-    epochs = int(o["epochs"])
-    batch_size = max(1, int(o["batch_size"]))
-    base_lr = float(o["lr"])
-    optimizer = AdamW(model.parameters(), lr=base_lr, weight_decay=float(o["weight_decay"]))
-    rng = Rng(int(o["seed"])).spawn(7)
-
-    eval_samples = None
-    if o["eval_data"]:
-        _, eval_samples = load_dataset(o["eval_data"])
+    config = ModelConfig(in_channels=1, base_channels=o.channels, num_prototypes=o.k,
+                         attention_form=o.attention, head=TASK_HEADS[o.task],
+                         input_hw=(size, size), ablate=o.ablate)
+    model = BiSourceModel(config, seed=o.seed)
+    out_dir = Path(o.out)
+    batch_size = max(1, o.batch_size)
+    optimizer = AdamW(model.parameters(), lr=o.lr, weight_decay=o.weight_decay)
+    rng = Rng(o.seed).spawn(7)
+    eval_samples = _task_dataset(o.eval_data, o.task)[1] if o.eval_data else None
 
     _save_checkpoint(out_dir, model)  # init / last-good
     log_path = out_dir / "loss.csv"
     steps_per_epoch = max(1, math.ceil(len(samples) / batch_size))
-    total_steps = max(1, epochs * steps_per_epoch)
+    total_steps = max(1, o.epochs * steps_per_epoch)
     step = 0
     with open(log_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["epoch", "loss"] + (["val_f1"] if eval_samples else [])
         writer.writerow(header)
-        for epoch in range(epochs):
+        for epoch in range(o.epochs):
             order = rng.spawn(epoch).permutation(len(samples))
             losses = []
             t0 = time.perf_counter()
             for start in range(0, len(order), batch_size):
                 batch = [samples[i] for i in order[start : start + batch_size]]
-                optimizer.lr = cosine_lr(base_lr, step, total_steps)
+                optimizer.lr = cosine_lr(o.lr, step, total_steps)
                 try:
                     losses.append(train_step(model, batch, optimizer))
                 except NumericalError as exc:
@@ -216,15 +171,15 @@ def cmd_train(o: dict) -> int:
             msg = f"epoch {epoch}: loss {mean_loss:.4f} ({time.perf_counter() - t0:.1f}s)"
             val_f1 = None
             if eval_samples:
-                val_f1 = _eval_f1(model, eval_samples)
+                val_f1 = change_scores(model, eval_samples)[1]["F1"]
                 row.append(f"{val_f1:.6f}")
                 msg += f" val F1 {val_f1:.4f}"
             writer.writerow(row)
             fh.flush()
             print(msg)
             _save_checkpoint(out_dir, model)
-            if val_f1 is not None and o["stop_f1"] and val_f1 >= float(o["stop_f1"]):
-                print(f"early stop: val F1 {val_f1:.4f} >= {o['stop_f1']}")
+            if val_f1 is not None and o.stop_f1 and val_f1 >= o.stop_f1:
+                print(f"early stop: val F1 {val_f1:.4f} >= {o.stop_f1}")
                 break
     print(f"checkpoint written to {out_dir}")
     return 0
@@ -235,30 +190,23 @@ def cmd_train(o: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_eval(o: dict) -> int:
-    model = load_checkpoint(o["ckpt"])
-    manifest, samples = load_dataset(o["data"])
-    if manifest["task"] != o["task"]:
-        raise ValueError(f"dataset task {manifest['task']!r} != requested {o['task']!r}")
-    expect_head = {"change": "binary", "density": "density"}[o["task"]]
-    if model.config.head != expect_head:
-        raise ValueError(f"checkpoint head {model.config.head!r} unsuitable for task {o['task']!r}")
+def cmd_eval(o: argparse.Namespace) -> int:
+    model = load_checkpoint(o.ckpt)
+    _, samples = _task_dataset(o.data, o.task)
+    if model.config.head != TASK_HEADS[o.task]:
+        raise ValueError(f"checkpoint head {model.config.head!r} unsuitable for task {o.task!r}")
 
-    rows: list[list] = []
-    if o["task"] == "change":
-        header = ["image", "Pre", "Rec", "F1", "IOU", "OA"]
-        pooled = ConfusionCounts()
-        for idx, (img1, img2, target) in enumerate(samples):
-            c = confusion_binary(model.predict(img1, img2), (target > 0.5).astype(np.uint8))
-            pooled.add(c)
-            vals = binary_metrics_from_counts(c).values
-            rows.append([f"{idx:05d}"] + [f"{vals[k]:.6f}" for k in header[1:]])
-        agg = binary_metrics_from_counts(pooled).values
-        rows.append(["aggregate"] + [f"{agg[k]:.6f}" for k in header[1:]])
-        summary = "  ".join(f"{k}={agg[k]:.4f}" for k in header[1:])
+    if o.task == "change":
+        header = ["image", *CHANGE_COLUMNS]
+        per_sample, agg = change_scores(model, samples)
+        rows = [[f"{idx:05d}"] + [f"{vals[k]:.6f}" for k in CHANGE_COLUMNS]
+                for idx, vals in enumerate(per_sample)]
+        rows.append(["aggregate"] + [f"{agg[k]:.6f}" for k in CHANGE_COLUMNS])
+        summary = "  ".join(f"{k}={agg[k]:.4f}" for k in CHANGE_COLUMNS)
     else:
         header = ["image", "count_pred", "count_gt",
                   "game_0", "game_1", "game_2", "game_3", "rmse"]
+        rows = []
         pred_counts, gt_counts, per_image_games = [], [], []
         for idx, (img1, img2, target) in enumerate(samples):
             pred = model.predict(img1, img2)
@@ -285,7 +233,7 @@ def cmd_eval(o: dict) -> int:
             f"GAME_{lv}={agg_games[lv]:.4f}" for lv in range(4)
         ) + f"  RMSE={rmse:.4f}"
 
-    with open(o["out"], "w", newline="") as fh:
+    with open(o.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -384,23 +332,25 @@ def _scope_batch(rng: Rng):
     return (lambda: model.loss(model.forward(img1, img2), target)), model.parameters()
 
 
-def cmd_gradcheck(o: dict) -> int:
-    scopes = GRADCHECK_SCOPES if o["scope"] == "all" else (o["scope"],)
+# scope name -> builder; a scope's index here is the salt of its random stream
+GRADCHECK_SCOPES = {
+    "op": _scope_op, "ada": _scope_ada, "ceb": _scope_ceb,
+    "dab": _scope_dab, "model": _scope_model, "batch": _scope_batch,
+}
+
+
+def cmd_gradcheck(o: argparse.Namespace) -> int:
     failed = False
-    for scope in scopes:
-        rng = Rng(int(o["seed"])).spawn(GRADCHECK_SCOPES.index(scope))
-        builders = {
-            "op": _scope_op, "ada": _scope_ada, "ceb": _scope_ceb,
-            "dab": _scope_dab, "model": _scope_model, "batch": _scope_batch,
-        }
-        f, params = builders[scope](rng)
+    for salt, (scope, build) in enumerate(GRADCHECK_SCOPES.items()):
+        if o.scope not in (scope, "all"):
+            continue
+        f, params = build(Rng(o.seed).spawn(salt))
         whole_model = scope in ("model", "batch")
-        tol = float(o["tol"]) if o["tol"] is not None else (1e-3 if whole_model else 1e-4)
+        tol = o.tol if o.tol is not None else (1e-3 if whole_model else 1e-4)
         cap = 2 if whole_model else None
         # a step well below the default keeps curvature (truncation) error far
         # under the tolerance while float64 roundoff stays negligible
-        report = grad_check(f, params, h=1e-5, tol=tol, max_elements_per_param=cap,
-                            seed=int(o["seed"]))
+        report = grad_check(f, params, h=1e-5, tol=tol, max_elements_per_param=cap, seed=o.seed)
         print(f"{scope}: {report.summary()}")
         failed |= not report.passed
     return 1 if failed else 0
@@ -411,23 +361,23 @@ def cmd_gradcheck(o: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_bench(o: dict) -> int:
+def cmd_bench(o: argparse.Namespace) -> int:
     kw: dict = {}
-    if o["sweep"]:
-        kw.update(load_json(o["sweep"]))
-    if o["tokens"]:
-        kw["token_counts"] = [int(t) for t in str(o["tokens"]).split(",")]
-    if o["variants"]:
-        kw["variants"] = str(o["variants"]).split(",")
-    kw.setdefault("trials", int(o["trials"]))
-    kw.setdefault("seed", int(o["seed"]))
+    if o.sweep:
+        kw.update(load_json(o.sweep))
+    if o.tokens:
+        kw["token_counts"] = [int(t) for t in o.tokens]
+    if o.variants:
+        kw["variants"] = o.variants
+    kw.setdefault("trials", o.trials)
+    kw.setdefault("seed", o.seed)
     cfg = bench_mod.SweepConfig(**kw)
     rows = bench_mod.run_sweep(cfg, progress=print)
-    bench_mod.write_csv(o["out"], rows)
+    bench_mod.write_csv(o.out, rows)
     for label, metrics in bench_mod.slope_summary(rows).items():
         parts = [f"{m}: {s:.3f} +- {e:.3f}" for m, (s, e) in metrics.items()]
         print(f"{label} log-log slopes | " + " | ".join(parts))
-    print(f"results written to {o['out']}")
+    print(f"results written to {o.out}")
     return 0
 
 
@@ -436,69 +386,80 @@ def cmd_bench(o: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="bisource",
         description="Two-source change/density models with prototype attention.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def new_sub(name: str, help_: str, func) -> tuple[argparse.ArgumentParser, dict]:
+    def new_sub(name: str, help_: str, func) -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=help_, description=help_)
-        defaults: dict = {}
-        sub.set_defaults(func=func, defaults=defaults)
-        _add(sub, defaults, "--config", help="JSON config file; explicit flags win")
-        _add(sub, defaults, "--seed", type=int, default=0, help="master seed (default 0)")
-        return sub, defaults
+        sub.set_defaults(func=func)
+        sub.add_argument("--config", help="JSON config file; explicit flags win")
+        sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+        return sub
 
-    sub, d = new_sub("gen-data", "generate a synthetic dataset", cmd_gen_data)
-    _add(sub, d, "--task", choices=("change", "density"), default="change")
-    _add(sub, d, "--out", required=True, help="output directory")
-    _add(sub, d, "--count", type=int, default=16, help="number of sample pairs")
-    _add(sub, d, "--size", type=int, default=64, help="square image extent")
+    sub = new_sub("gen-data", "generate a synthetic dataset", cmd_gen_data)
+    sub.add_argument("--task", choices=tuple(TASK_HEADS), default="change")
+    sub.add_argument("--out", required=True, help="output directory")
+    sub.add_argument("--count", type=int, default=16, help="number of sample pairs")
+    sub.add_argument("--size", type=int, default=64, help="square image extent")
 
-    sub, d = new_sub("train", "train a model on a generated dataset", cmd_train)
-    _add(sub, d, "--task", choices=("change", "density"), default="change")
-    _add(sub, d, "--data", required=True, help="dataset directory")
-    _add(sub, d, "--out", required=True, help="checkpoint directory")
-    _add(sub, d, "--epochs", type=int, default=20)
-    _add(sub, d, "--k", default="4", help="prototype count, an integer or 'inf'")
-    _add(sub, d, "--ablate", default="", help="comma list from: " + ",".join(ABLATIONS))
-    _add(sub, d, "--attention", choices=("ada", "std"), default="ada")
-    _add(sub, d, "--channels", type=int, default=16, help="base channel width")
-    _add(sub, d, "--lr", type=float, default=3e-3)
-    _add(sub, d, "--weight-decay", type=float, default=0.01)
-    _add(sub, d, "--batch-size", type=int, default=8)
-    _add(sub, d, "--eval-data", default="", help="held-out set scored each epoch")
-    _add(sub, d, "--stop-f1", type=float, default=0.0,
-         help="stop early once held-out F1 reaches this value")
+    sub = new_sub("train", "train a model on a generated dataset", cmd_train)
+    sub.add_argument("--task", choices=tuple(TASK_HEADS), default="change")
+    sub.add_argument("--data", required=True, help="dataset directory")
+    sub.add_argument("--out", required=True, help="checkpoint directory")
+    sub.add_argument("--epochs", type=int, default=20)
+    sub.add_argument("--k", default="4", help="prototype count, an integer or 'inf'")
+    sub.add_argument("--ablate", type=_comma_list, default="",
+                     help="comma list from: " + ",".join(ABLATIONS))
+    sub.add_argument("--attention", choices=("ada", "std"), default="ada")
+    sub.add_argument("--channels", type=int, default=16, help="base channel width")
+    sub.add_argument("--lr", type=float, default=3e-3)
+    sub.add_argument("--weight-decay", type=float, default=0.01)
+    sub.add_argument("--batch-size", type=int, default=8)
+    sub.add_argument("--eval-data", default="", help="held-out set scored each epoch")
+    sub.add_argument("--stop-f1", type=float, default=0.0,
+                     help="stop early once held-out F1 reaches this value")
 
-    sub, d = new_sub("eval", "score a checkpoint on a dataset (CSV out)", cmd_eval)
-    _add(sub, d, "--task", choices=("change", "density"), default="change")
-    _add(sub, d, "--ckpt", required=True, help="checkpoint directory")
-    _add(sub, d, "--data", required=True, help="dataset directory")
-    _add(sub, d, "--out", required=True, help="output CSV path")
+    sub = new_sub("eval", "score a checkpoint on a dataset (CSV out)", cmd_eval)
+    sub.add_argument("--task", choices=tuple(TASK_HEADS), default="change")
+    sub.add_argument("--ckpt", required=True, help="checkpoint directory")
+    sub.add_argument("--data", required=True, help="dataset directory")
+    sub.add_argument("--out", required=True, help="output CSV path")
 
-    sub, d = new_sub("gradcheck", "finite-difference gradient validation", cmd_gradcheck)
-    _add(sub, d, "--scope", choices=GRADCHECK_SCOPES + ("all",), default="all")
-    _add(sub, d, "--tol", type=float, default=None,
-         help="relative-error tolerance (default 1e-4; 1e-3 for the model and batch scopes)")
+    sub = new_sub("gradcheck", "finite-difference gradient validation", cmd_gradcheck)
+    sub.add_argument("--scope", choices=(*GRADCHECK_SCOPES, "all"), default="all")
+    sub.add_argument("--tol", type=float, default=None,
+                     help="relative-error tolerance (default 1e-4; 1e-3 for the model and batch scopes)")
 
-    sub, d = new_sub("bench", "scaling sweep over token counts", cmd_bench)
-    _add(sub, d, "--sweep", default="", help="JSON file with sweep settings")
-    _add(sub, d, "--out", required=True, help="output CSV path")
-    _add(sub, d, "--tokens", default="", help="comma list of token counts")
-    _add(sub, d, "--variants", default="", help="comma list, e.g. ada:4,ada:inf,std")
-    _add(sub, d, "--trials", type=int, default=3)
+    sub = new_sub("bench", "scaling sweep over token counts", cmd_bench)
+    sub.add_argument("--sweep", default="", help="JSON file with sweep settings")
+    sub.add_argument("--out", required=True, help="output CSV path")
+    sub.add_argument("--tokens", type=_comma_list, default="", help="comma list of token counts")
+    sub.add_argument("--variants", type=_comma_list, default="",
+                     help="comma list, e.g. ada:4,ada:inf,std")
+    sub.add_argument("--trials", type=int, default=3)
 
-    return parser
+    return parser, subs.choices
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    parser, subcommands = build_parser()
+    ns = parser.parse_args(argv)
     try:
-        opts = _resolve(ns, ns.defaults)
-        return ns.func(opts)
+        if ns.config:
+            cfg = load_json(ns.config)
+            if not isinstance(cfg, dict):
+                raise ValueError(f"{ns.config}: config must be a JSON object, found {type(cfg).__name__}")
+            unknown = set(cfg) - (set(vars(ns)) - {"command", "func"})
+            if unknown:
+                raise ValueError(f"{ns.config}: unknown config keys {sorted(unknown)}")
+            subcommands[ns.command].set_defaults(**cfg)
+            ns = parser.parse_args(argv)
+        return ns.func(ns)
     except (ValueError, TypeError, OSError, KeyError, T.ShapeError, NumericalError) as exc:
         msg = " ".join(str(exc).split())
         print(f"bisource: error: {type(exc).__name__}: {msg}", file=sys.stderr)

@@ -14,12 +14,12 @@ sample, its img1 tokens, then its img2 tokens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
 from . import tensor as T
-from .ada import AdaConfig, INF_PROTOTYPES, Mlp, ParamRegistry, SourcePair
+from .ada import AdaConfig, Mlp, ParamRegistry, SourcePair, prototype_count
 from .blocks import ConsistencyBlock, DifferenceBlock
 from .tensor import NumericalError, Parameter, Rng, Tape, Tensor, backward
 
@@ -47,9 +47,10 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.head not in HEAD_KINDS:
             raise ValueError(f"head must be one of {HEAD_KINDS}")
+        self.num_prototypes = prototype_count(self.num_prototypes)
         for a in self.ablate:
             if a not in ABLATIONS:
-                raise ValueError(f"unknown ablation {a!r}")
+                raise ValueError(f"unknown ablation {a!r}; choose from {ABLATIONS}")
         if self.attention_form not in ("ada", "std"):
             raise ValueError("attention_form must be 'ada' or 'std'")
         h, w = self.input_hw
@@ -70,20 +71,16 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        if d.get("num_prototypes") == "inf":
-            d["num_prototypes"] = INF_PROTOTYPES
-        d["ablate"] = tuple(d.get("ablate", ()))
-        d["input_hw"] = tuple(d.get("input_hw", (64, 64)))
         return cls(**d)
 
 
 class SelfAttention:
     """Pre-norm single-head self-attention used inside encoder stages.
 
-    Dense over all tokens.  At inference (no Tape active) the scores are built
-    in blocks of query rows, so a 4096-token stage never holds the full
-    4096 x 4096 score matrix; training keeps the taped op chain.
+    Dense over all tokens, through ``T.attention_rows``: at inference (no Tape
+    active) the scores are built in blocks of query rows, so a 4096-token
+    stage never holds the full 4096 x 4096 score matrix; under a Tape the
+    attention is one tape record.
     """
 
     def __init__(self, reg: ParamRegistry, dim: int, name: str) -> None:
@@ -373,15 +370,10 @@ def _split(x: Tensor, h: int, w: int, b: int) -> SourcePair:
 
 def ablation_variant(model: BiSourceModel, drop: set[str]) -> BiSourceModel:
     """Fresh model with the given components removed (same seed and config)."""
-    drop = {d.lower() for d in drop}
-    bad = drop - set(ABLATIONS)
-    if bad:
-        raise ValueError(f"unknown ablations: {sorted(bad)}")
     if not drop:
         return model
-    cfg_json = model.config.to_json()
-    cfg_json["ablate"] = sorted(set(model.config.ablate) | drop)
-    return BiSourceModel(ModelConfig.from_json(cfg_json), seed=model.seed, dtype=model.dtype)
+    config = replace(model.config, ablate=tuple(sorted(set(model.config.ablate) | drop)))
+    return BiSourceModel(config, seed=model.seed, dtype=model.dtype)
 
 
 class AdamW:

@@ -20,18 +20,7 @@ from bisource import (
 )
 from bisource.ada import AdaConfig, ParamRegistry, SourcePair, make_attention
 from bisource.bench import SweepConfig, fit_loglog_slope, run_sweep
-from bisource.cli import (
-    GRADCHECK_SCOPES,
-    _eval_f1,
-    _scope_ada,
-    _scope_batch,
-    _scope_ceb,
-    _scope_dab,
-    _scope_model,
-    _scope_op,
-    load_checkpoint,
-    main,
-)
+from bisource.cli import GRADCHECK_SCOPES, change_scores, load_checkpoint, main
 from bisource.data import generate_dataset, load_dataset
 from bisource.io import load_cpt1, read_pgm, save_cpt1, write_pgm
 from bisource.metrics import (
@@ -81,16 +70,11 @@ def small_change(tmp_path_factory):
 
 def test_criterion_1_gradients():
     t0 = time.perf_counter()
-    builders = {
-        "op": _scope_op, "ada": _scope_ada, "ceb": _scope_ceb,
-        "dab": _scope_dab, "model": _scope_model, "batch": _scope_batch,
-    }
     worst = 0.0
     ok = True
     for seed in range(5):
-        for scope in GRADCHECK_SCOPES:
-            rng = Rng(seed).spawn(GRADCHECK_SCOPES.index(scope))
-            f, params = builders[scope](rng)
+        for salt, (scope, build) in enumerate(GRADCHECK_SCOPES.items()):
+            f, params = build(Rng(seed).spawn(salt))
             whole_model = scope in ("model", "batch")
             tol = 1e-3 if whole_model else 1e-4
             cap = 1 if whole_model else 2
@@ -240,7 +224,7 @@ def test_criterion_6_toy_training(toy_change, tmp_path):
     elapsed = time.perf_counter() - t0
     model = load_checkpoint(ckpt)
     _, test_samples = load_dataset(toy_change / "test")
-    f1 = _eval_f1(model, test_samples)
+    f1 = change_scores(model, test_samples)[1]["F1"]
     ok = rc == 0 and f1 >= 0.80 and elapsed < 900.0
     report(6, "toy end-to-end", ok, f"test F1 {f1:.3f}, {elapsed:.0f}s")
 
@@ -264,7 +248,7 @@ def test_criterion_7_ablation_direction(small_change):
             for start in range(0, len(order), 8):
                 batch = [train_samples[i] for i in order[start : start + 8]]
                 train_step(model, batch, opt)
-        return _eval_f1(model, test_samples)
+        return change_scores(model, test_samples)[1]["F1"]
 
     means = {}
     for label, drop in (("full", set()), ("-dab", {"dab"}), ("-both", {"ceb", "dab"})):

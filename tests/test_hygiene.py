@@ -1,4 +1,4 @@
-"""Source hygiene: no module of the package or of its tests imports a name it never uses."""
+"""Source hygiene: no module of the package, its tests or perfbench imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -7,6 +7,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(ROOT.glob("src/bisource/*.py")) + sorted(ROOT.glob("tests/*.py"))
+BENCH_MODULES = sorted(ROOT.glob("perfbench/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,6 +50,9 @@ def test_checker_flags_unused_and_honours_all_and_future():
     assert unused_imports(src) == ["pi (line 4)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + BENCH_MODULES,
+    ids=[p.name for p in MODULES] + [f"perfbench/{p.name}" for p in BENCH_MODULES],
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
