@@ -3,9 +3,10 @@
 Subcommands: gen-data (synthetic datasets), train, eval, gradcheck, bench.
 Every subcommand accepts --config pointing at a JSON object whose keys are
 the subcommand's flag names (underscored).  Its values become the flags'
-defaults: string values are converted like the typed flag values, and
-explicit flags win.  All randomness is derived from --seed.  Exit status is 0
-on success; failures print a single machine-parseable line
+defaults: a string value is converted as its flag converts one, a number
+must be of its flag's type, and explicit flags win; an error in the file
+names the file and the key.  All randomness is derived from --seed.  Exit
+status is 0 on success; failures print a single machine-parseable line
 ``bisource: error: <Type>: <message>`` to stderr and exit 1.
 
 Eval CSV column order:
@@ -446,18 +447,48 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, subs.choices
 
 
+def _config_defaults(path: str, sub: argparse.ArgumentParser) -> dict:
+    """The --config file at ``path`` as defaults of ``sub``'s flags.
+
+    A string value is converted as the flag converts its value; a JSON number
+    must already be the flag's type (an integer flag takes no 2.5).  Every
+    error starts with the file's path and names the key.
+    """
+    cfg = load_json(path)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: config must be a JSON object, found {type(cfg).__name__}")
+    actions = {a.dest: a for a in sub._actions if a.dest != "help"}
+    unknown = set(cfg) - set(actions)
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
+    return {key: _config_value(path, key, value, actions[key]) for key, value in cfg.items()}
+
+
+def _config_value(path: str, key: str, value, action: argparse.Action):
+    kind = action.type
+    if isinstance(value, str) and kind is not None:
+        try:
+            value = kind(value)
+        except ValueError:
+            raise ValueError(f"{path}: config key {key!r}: invalid {kind.__name__} value {value!r}") from None
+    elif kind is int and type(value) is not int:  # bool is no integer here
+        raise ValueError(f"{path}: config key {key!r} must be an integer, found {value!r}")
+    elif kind is float:
+        if type(value) not in (int, float):
+            raise ValueError(f"{path}: config key {key!r} must be a number, found {value!r}")
+        value = float(value)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"{path}: config key {key!r} must be one of {list(action.choices)}, found {value!r}")
+    return value
+
+
 def main(argv=None) -> int:
     parser, subcommands = build_parser()
     ns = parser.parse_args(argv)
     try:
         if ns.config:
-            cfg = load_json(ns.config)
-            if not isinstance(cfg, dict):
-                raise ValueError(f"{ns.config}: config must be a JSON object, found {type(cfg).__name__}")
-            unknown = set(cfg) - (set(vars(ns)) - {"command", "func"})
-            if unknown:
-                raise ValueError(f"{ns.config}: unknown config keys {sorted(unknown)}")
-            subcommands[ns.command].set_defaults(**cfg)
+            sub = subcommands[ns.command]
+            sub.set_defaults(**_config_defaults(ns.config, sub))
             ns = parser.parse_args(argv)
         return ns.func(ns)
     except (ValueError, TypeError, OSError, KeyError, T.ShapeError, NumericalError) as exc:

@@ -139,8 +139,13 @@ def save_json(path: str | Path, obj) -> None:
 
 
 def load_json(path: str | Path):
+    """The JSON value in the file at ``path``; a file that is not JSON raises
+    a ValueError that starts with the path."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
 
 
 def save_tensor_dir(dirpath: str | Path, tensors: dict[str, np.ndarray], extra: dict | None = None) -> None:

@@ -6,8 +6,8 @@ Tape is active in the calling thread, records a backward closure.  The
 validation probes the output's sum of squares, which is finite only if every
 element is, and scans the elements only when the probe is not finite (a NaN
 or Inf, or finite values whose squares overflow), so it is exact.
-``backward`` drops each intermediate gradient as soon as its record's
-closure has run.
+``backward`` releases each tape record, with the arrays its closure captured
+and its output's gradient, as soon as the record has run.
 
 A batch of b samples is carried as rows, each sample's rows after the
 previous sample's, so elementwise and row-wise ops need no batch count.  The
@@ -36,6 +36,11 @@ a sample whose scores are bounded by ATTN_SHIFT_LIMIT; its output agrees with
 the taped path's to float rounding (a few 1e-6 of the peak in float32), not
 bit for bit.
 
+``gelu`` needs erf, which numpy lacks: taped and float64 calls take
+``_erf``, W. J. Cody's rational forms as Cephes evaluates them, in float64
+chunks.  Its float32 results have the bits of scipy's float32 erf; its
+float64 ones are within 2 ulp of scipy's.
+
 Untaped float32 calls of ``gelu``, ``layer_norm`` and ``avg_pool_2d`` are
 inference calls (``_inference``): no gradient and no float64 replay depends on
 their bits, so they take forms that cost about their arithmetic.  ``gelu``
@@ -58,7 +63,6 @@ from contextvars import ContextVar
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "Tensor",
@@ -282,19 +286,22 @@ _active_tape: ContextVar[Tape | None] = ContextVar("bisource_active_tape", defau
 def backward(loss: Tensor, tape: Tape) -> None:
     """Accumulate d(loss)/d(input) into .grad of every tensor on the tape.
 
-    A record's output gradient is dropped as soon as its closure has run, so
-    an intermediate gradient lives only until its inputs have taken it.
-    Parameters are never record outputs and keep theirs (zeroed elsewhere).
+    Records run last first, and each leaves the tape as it runs: its closure,
+    the arrays the closure captured and its output's gradient are released
+    before the record made before it runs, so an intermediate gradient lives
+    only until its inputs have taken it.  Parameters are never record outputs
+    and keep their gradients (zeroed elsewhere).  The tape is empty after.
     """
     if loss.data.size != 1:
         raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
     loss.grad = np.ones_like(loss.data)
-    for out, fn in reversed(tape._records):
+    records = tape._records
+    while records:
+        out, fn = records.pop()  # rebinding releases the previous record
         if out.grad is None:
             continue
         fn(out.grad)
         out.grad = None
-    tape.clear()
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -526,6 +533,90 @@ def relu(x: Tensor) -> Tensor:
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
+# erf by W. J. Cody's rational forms (Math. Comp. 23, 1969) with the
+# coefficients and arrangement of Cephes's ndtr.c, highest power first (U and
+# Q monic): x T(x^2) / U(x^2) for |x| <= 1, and 1 - exp(-x^2) P(|x|) / Q(|x|)
+# with the sign of x for 1 < |x| < 8.  Past 8 Cephes's erfc is below 1.2e-29,
+# so its erf is +-1 exactly; |x| clamped to 8 gives that too.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+# Elements per chunk of _erf: its four float64 work buffers stay in a core's
+# L2 cache, and each is just under 128 KB, glibc's default threshold below
+# which an allocation is taken from the heap instead of fresh pages.  In
+# train-change-64 steps that cut the erf's page faults from about 770 to 210
+# a step (one 512 KB buffer made 770).
+ERF_CHUNK = 16376
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf in float64, rounded once to x's dtype, ERF_CHUNK elements at a time.
+
+    Each operation is Cephes's, so a float32 result has the bits of scipy's
+    float32 erf (which rounds its float64 erf) and a float64 one is within 2
+    ulp of scipy's; erf(+-0) = +-0, erf(+-inf) = +-1 and NaN stays NaN.
+    """
+    if x.dtype == np.float64:  # a square past 1e154 would overflow; erf is +-1 from 8
+        x = np.clip(x, -8.0, 8.0)
+    out = np.empty(x.shape, x.dtype)  # C order, so outs is a view of it
+    xs, outs = x.reshape(-1), out.reshape(-1)
+    t, z, p, q = (np.empty(min(ERF_CHUNK, x.size)) for _ in range(4))
+    tails = []
+    for start in range(0, x.size, ERF_CHUNK):
+        xc, o = xs[start : start + ERF_CHUNK], outs[start : start + ERF_CHUNK]
+        n = xc.size
+        tc, zc, pc, qc = t[:n], z[:n], p[:n], q[:n]
+        tc[...] = xc
+        np.multiply(tc, tc, out=zc)
+        if not zc.max() <= 1.0:  # |x| > 1 somewhere, or a NaN hides the max
+            tails.append(start + np.flatnonzero(zc > 1.0))
+            np.minimum(zc, 1.0, out=zc)  # keeps x T(z) / U(z) finite there
+        np.multiply(zc, _ERF_T[0], out=pc)
+        for c in _ERF_T[1:-1]:
+            pc += c
+            pc *= zc
+        pc += _ERF_T[-1]
+        np.add(zc, _ERF_U[0], out=qc)
+        for c in _ERF_U[1:]:
+            qc *= zc
+            qc += c
+        pc *= tc
+        np.divide(pc, qc, out=o)
+    if tails:
+        idx = np.concatenate(tails)
+        outs[idx] = _erf_tail(xs[idx])
+    return out
+
+
+def _erf_tail(x: np.ndarray) -> np.ndarray:
+    """erf(x) in float64 for 1 < |x|: Cephes's 1 - erfc(|x|), |x| clamped to 8."""
+    a = np.abs(x, dtype=np.float64)
+    np.minimum(a, 8.0, out=a)
+    e = a * a
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    p = a * _ERFC_P[0]
+    for c in _ERFC_P[1:-1]:
+        p += c
+        p *= a
+    p += _ERFC_P[-1]
+    q = a + _ERFC_Q[0]
+    for c in _ERFC_Q[1:]:
+        q *= a
+        q += c
+    e *= p
+    e /= q
+    np.subtract(1.0, e, out=e)
+    return np.copysign(e, x, out=e)
+
+
 # Elements per chunk of the inference GELU: its three float32 work buffers
 # and the output chunk (64 KB each) stay in cache, and no temporary is as
 # large as x.
@@ -581,23 +672,30 @@ def _gelu_rational(x: np.ndarray) -> np.ndarray:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """x Phi(x), Phi the normal CDF, with scipy's erf in x's dtype.
+    """x Phi(x), Phi the normal CDF.
 
-    An inference call (``_inference``: float32, no Tape) takes the rational
+    Taped and float64 calls take erf in x's dtype from ``_erf``, Cephes's erf
+    in numpy: a taped float32 call has the bits it has with scipy's float32
+    erf, so training's bits are scipy's, and a float64 call's erf is within 2
+    ulp of scipy's.  An inference call (``_inference``: float32, no Tape) takes the rational
     float32 erf of ``_gelu_rational`` instead: within 4.5e-7 of float64's
     erf, so the output is within 2.5e-7 |x| of the float64 GELU (measured
-    2.2e-7 |x|).  Taped and float64 calls keep scipy's erf and its bits.
+    2.2e-7 |x|).
     """
     if _inference(x):
         with np.errstate(invalid="ignore"):  # -inf gives NaN, which _out reports
             return _out(_gelu_rational(x.data), None)
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    y = x.data * _INV_SQRT2  # erf's argument; the buffer then takes the output
+    cdf = _erf(y)
+    cdf += 1.0
+    cdf *= 0.5
+    np.multiply(x.data, cdf, out=y)
 
     def fn(g: np.ndarray) -> None:
         pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
         _accum(x, (g * (cdf + x.data * pdf)).astype(x.data.dtype, copy=False))
 
-    return _out((x.data * cdf).astype(x.data.dtype, copy=False), fn)
+    return _out(y, fn)
 
 
 def softmax_rows(x: Tensor) -> Tensor:

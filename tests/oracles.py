@@ -71,8 +71,21 @@ def gelu(x: np.ndarray) -> np.ndarray:
 
 def gelu_scipy_erf(x: np.ndarray) -> np.ndarray:
     """The tensor engine's exact gelu forward, with scipy's erf in x's dtype;
-    its taped and float64 calls must reproduce these bits exactly."""
+    its taped float32 calls must reproduce these bits exactly."""
     return (x * (0.5 * (1.0 + erf(x * 0.7071067811865476)))).astype(x.dtype)
+
+
+def gelu_erf_band(x: np.ndarray, ulps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The least and greatest values of gelu_scipy_erf's formula in float64
+    when scipy's erf may be off by up to ``ulps`` ulp.  Each rounded step of
+    the formula is monotone in erf, so these are its values at the band's two
+    ends."""
+    e = erf(x * 0.7071067811865476)
+    lo, hi = e, e
+    for _ in range(ulps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+    ends = [x * (0.5 * (1.0 + v)) for v in (lo, hi)]
+    return np.minimum(*ends), np.maximum(*ends)
 
 
 def cosine(q: np.ndarray, k: np.ndarray) -> np.ndarray:

@@ -233,3 +233,17 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: bisource")
+
+
+@pytest.mark.parametrize("command", [["-c", "import bisource.cli"], ["-m", "bisource", "--help"]],
+                         ids=["import", "help"])
+def test_the_cli_loads_no_scipy(command):
+    # -X importtime lists every module the process imports on stderr
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-X", "importtime", *command], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    modules = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    assert "bisource.cli" in modules
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []

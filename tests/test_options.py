@@ -102,6 +102,35 @@ def test_unknown_config_key_names_the_key(data, tmp_path, capsys):
     assert "['ckpt']" in one_error_line(capsys)
 
 
+def test_config_that_is_not_json_names_the_file(data, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"epochs": 1,}')
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "ckpt"),
+                 "--config", str(path)]) == 1
+    err = one_error_line(capsys)
+    assert f"{path}: not valid JSON: Expecting property name" in err and "line 1 column 14" in err
+
+
+@pytest.mark.parametrize("config,error", [
+    ({"epochs": 2.5}, "config key 'epochs' must be an integer, found 2.5"),
+    ({"channels": 4.5, "epochs": 0}, "config key 'channels' must be an integer, found 4.5"),
+    ({"epochs": True}, "config key 'epochs' must be an integer, found True"),
+    ({"lr": [0.1]}, "config key 'lr' must be a number, found [0.1]"),
+    ({"lr": False}, "config key 'lr' must be a number, found False"),
+    ({"epochs": "two"}, "config key 'epochs': invalid int value 'two'"),
+    ({"task": "count"}, "config key 'task' must be one of ['change', 'density'], found 'count'"),
+], ids=["float-for-int", "second-key", "bool-for-int", "list-for-float", "bool-for-float",
+        "bad-string", "bad-choice"])
+def test_config_value_of_the_wrong_kind_names_the_file_and_key(data, tmp_path, capsys, config, error):
+    assert train(data, tmp_path, config=config) == 1
+    err = one_error_line(capsys)
+    assert f"{tmp_path / 'cfg.json'}: {error}" in err
+
+
+def test_config_numbers_of_the_flags_type_pass(data, tmp_path):
+    assert train(data, tmp_path, config={"epochs": 0, "lr": 1, "weight_decay": 0.5}) == 0
+
+
 def test_config_strings_convert_like_flags_and_do_not_leak(data, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"epochs": "0", "k": "inf", "ablate": "dab"}))

@@ -9,6 +9,7 @@ import multiprocessing
 import re
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -201,7 +202,66 @@ def test_box_sum_and_layer_norm_bits_match_their_references(shape, dtype):
         bias = Rng(2).normal((c,), dtype=dtype)
         got = T.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
         _assert_same_bits(got, oracles.layer_norm_np_var(x, gain, bias))
-        _assert_same_bits(T.gelu(Tensor(x)).data, oracles.gelu_scipy_erf(x))
+        got = T.gelu(Tensor(x)).data
+        if dtype == np.float32:
+            _assert_same_bits(got, oracles.gelu_scipy_erf(x))
+        else:  # erf within 2 ulp of scipy's (test_erf_float64_is_within_2_ulp_of_scipys)
+            lo, hi = oracles.gelu_erf_band(x, 2)
+            assert got.dtype == F64 and ((lo <= got) & (got <= hi)).all()
+
+
+# The numpy erf of the taped and float64 gelu, against scipy's: every 4096th
+# float32 bit pattern of both signs, and the edges of its forms.
+ERF_GRID = np.arange(0, 2**32, 4096, dtype=np.uint64).astype(np.uint32).view(np.float32)
+
+
+def _float32_erf_saturation() -> np.float32:
+    """The least float32 whose float32 erf (scipy's) is 1."""
+    lo, hi = int(np.float32(1).view(np.uint32)), int(np.float32(8).view(np.uint32))
+    while hi - lo > 1:  # erf(lo) < 1 == erf(hi)
+        mid = (lo + hi) // 2
+        if oracles.erf(np.uint32(mid).view(np.float32)) == 1:
+            hi = mid
+        else:
+            lo = mid
+    return np.uint32(hi).view(np.float32)
+
+
+def _erf_edges(dtype) -> np.ndarray:
+    f = np.dtype(dtype).type
+    points = [f(0), f(np.finfo(dtype).smallest_subnormal), f(np.inf)]
+    for edge in (f(1), f(8)):  # the forms' branch points
+        points += [np.nextafter(edge, f(0)), edge, np.nextafter(edge, f(np.inf))]
+    if dtype == np.float32:
+        sat = _float32_erf_saturation()
+        points += [np.nextafter(sat, f(0)), sat]
+    else:
+        points += [f(1e154), f(1e300), np.finfo(dtype).max]  # squares overflow float64
+    points = np.array(points, dtype=dtype)
+    return np.concatenate([points, -points, [f(np.nan)]])
+
+
+def test_erf_float32_has_scipys_bits():
+    x = np.concatenate([ERF_GRID, _erf_edges(np.float32)])
+    with np.errstate(invalid="ignore"):  # widening the grid's signalling NaNs
+        got = T._erf(x)
+    want = oracles.erf(x)
+    assert got.dtype == np.float32
+    nan = np.isnan(x)
+    assert np.isnan(got[nan]).all()
+    _assert_same_bits(got[~nan], want[~nan])
+    _assert_same_bits(T._erf(x[~nan][-24:].reshape(6, 4).T), want[~nan][-24:].reshape(6, 4).T)
+    assert T._erf(np.zeros(0, np.float32)).shape == (0,)
+
+
+def test_erf_float64_is_within_2_ulp_of_scipys():
+    finite32 = ERF_GRID[~np.isnan(ERF_GRID)]
+    x = np.concatenate([finite32.astype(F64), _erf_edges(F64)[:-1]])
+    got, want = T._erf(x), oracles.erf(x)
+    assert got.dtype == F64
+    assert (np.abs(got - want) <= 2 * np.spacing(np.abs(want))).all()
+    assert (np.signbit(got) == np.signbit(x)).all()  # erf(-0) = -0
+    assert np.isnan(T._erf(np.array([np.nan, -np.nan]))).all()
 
 
 # Untaped float32 gelu, layer_norm and avg_pool_2d take their inference forms;
@@ -387,6 +447,19 @@ def test_backward_detached_subgraph_zero_grad():
         backward(loss, tape)
     np.testing.assert_array_equal(unused.grad, 0.0)
     np.testing.assert_array_equal(used.grad, [4.0])
+
+
+def test_backward_releases_each_record_before_running_the_one_made_before_it():
+    mid, loss = Tensor(np.ones(1)), Tensor(np.ones(1))
+    held = np.ones(4)  # captured only by the later record's closure
+    held_ref = weakref.ref(held)
+    freed = []
+    tape = Tape()
+    tape.record(mid, lambda g: freed.append(held_ref() is None))
+    tape.record(loss, lambda g, held=held: setattr(mid, "grad", g * held[:1]))
+    del held
+    backward(loss, tape)
+    assert freed == [True]
 
 
 def test_backward_rejects_nonscalar_loss():
