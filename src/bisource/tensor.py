@@ -38,8 +38,9 @@ bit for bit.
 
 ``gelu`` needs erf, which numpy lacks: taped and float64 calls take
 ``_erf``, W. J. Cody's rational forms as Cephes evaluates them, in float64
-chunks.  Its float32 results have the bits of scipy's float32 erf; its
-float64 ones are within 2 ulp of scipy's.
+chunks and in work buffers each thread keeps (``_ErfScratch``), so what a
+call allocates does not depend on its data.  Its float32 results have the
+bits of scipy's float32 erf; its float64 ones are within 2 ulp of scipy's.
 
 Untaped float32 calls of ``gelu``, ``layer_norm`` and ``avg_pool_2d`` are
 inference calls (``_inference``): no gradient and no float64 replay depends on
@@ -548,12 +549,45 @@ _ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.463210564422
 _ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
            9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
            1.65666309194161350182e3, 5.57535340817727675546e2)
-# Elements per chunk of _erf: its four float64 work buffers stay in a core's
-# L2 cache, and each is just under 128 KB, glibc's default threshold below
-# which an allocation is taken from the heap instead of fresh pages.  In
-# train-change-64 steps that cut the erf's page faults from about 770 to 210
-# a step (one 512 KB buffer made 770).
-ERF_CHUNK = 16376
+# Elements per chunk of _erf: its work buffers (five float64 arrays of
+# ERF_CHUNK, the gathered tail's positions and the chunk's flags, about 0.8
+# MB) stay in a core's L2 cache.
+ERF_CHUNK = 16384
+
+
+class _ErfScratch:
+    """_erf's work buffers, made on a thread's first call and kept for its next.
+
+    Buffers made afresh by every call, or sized by the data, left holes in
+    the heap that later arrays filled differently from run to run, so a
+    training process's peak RSS moved by several MB between runs.  Kept, they
+    leave every step's heap laid out alike.
+    """
+
+    def __init__(self) -> None:
+        # x, x^2, the two polynomials and the gathered |x| > 1 elements; five
+        # arrays, not rows of one, whose 128 KB stride slowed the passes
+        self.work = [np.empty(ERF_CHUNK) for _ in range(5)]
+        self.tail_at = np.empty(ERF_CHUNK, np.intp)  # the gathered elements' flat positions
+        self.flags = np.empty(2 * ERF_CHUNK, bool)
+        self._rounded: dict[np.dtype, np.ndarray] = {}
+
+    def rounded(self, dtype: np.dtype) -> np.ndarray:
+        """A buffer of ERF_CHUNK elements of ``dtype`` for the rounded tail."""
+        buf = self._rounded.get(dtype)
+        if buf is None:
+            buf = self._rounded[dtype] = np.empty(ERF_CHUNK, dtype)
+        return buf
+
+
+_erf_local = threading.local()
+
+
+def _erf_scratch() -> _ErfScratch:
+    scratch = getattr(_erf_local, "scratch", None)
+    if scratch is None:
+        scratch = _erf_local.scratch = _ErfScratch()
+    return scratch
 
 
 def _erf(x: np.ndarray) -> np.ndarray:
@@ -562,21 +596,30 @@ def _erf(x: np.ndarray) -> np.ndarray:
     Each operation is Cephes's, so a float32 result has the bits of scipy's
     float32 erf (which rounds its float64 erf) and a float64 one is within 2
     ulp of scipy's; erf(+-0) = +-0, erf(+-inf) = +-1 and NaN stays NaN.
+    Elements with |x| > 1 are gathered, up to ERF_CHUNK at a time, and take
+    the tail form together.  Work happens in the calling thread's
+    ``_ErfScratch``; besides the output, a call allocates only buffers whose
+    sizes do not depend on how many elements have |x| > 1.
     """
-    if x.dtype == np.float64:  # a square past 1e154 would overflow; erf is +-1 from 8
-        x = np.clip(x, -8.0, 8.0)
     out = np.empty(x.shape, x.dtype)  # C order, so outs is a view of it
     xs, outs = x.reshape(-1), out.reshape(-1)
-    t, z, p, q = (np.empty(min(ERF_CHUNK, x.size)) for _ in range(4))
-    tails = []
+    scratch = _erf_scratch()
+    t, z, p, q, tail_x = scratch.work
+    tail_at, flags = scratch.tail_at, scratch.flags
+    n_tail = 0  # elements gathered: x in tail_x, flat positions in tail_at
     for start in range(0, x.size, ERF_CHUNK):
         xc, o = xs[start : start + ERF_CHUNK], outs[start : start + ERF_CHUNK]
         n = xc.size
         tc, zc, pc, qc = t[:n], z[:n], p[:n], q[:n]
-        tc[...] = xc
+        if x.dtype == np.float64:  # a square past 1e154 would overflow; erf is +-1 from 8
+            np.clip(xc, -8.0, 8.0, out=tc)
+        else:
+            tc[...] = xc
         np.multiply(tc, tc, out=zc)
+        k = 0
         if not zc.max() <= 1.0:  # |x| > 1 somewhere, or a NaN hides the max
-            tails.append(start + np.flatnonzero(zc > 1.0))
+            np.greater(zc, 1.0, out=flags[:n])
+            k = int(np.count_nonzero(flags[:n]))
             np.minimum(zc, 1.0, out=zc)  # keeps x T(z) / U(z) finite there
         np.multiply(zc, _ERF_T[0], out=pc)
         for c in _ERF_T[1:-1]:
@@ -589,32 +632,53 @@ def _erf(x: np.ndarray) -> np.ndarray:
             qc += c
         pc *= tc
         np.divide(pc, qc, out=o)
-    if tails:
-        idx = np.concatenate(tails)
-        outs[idx] = _erf_tail(xs[idx])
+        if k:
+            if n_tail + k > ERF_CHUNK:
+                _erf_tail(tail_x[:n_tail], tail_at[:n_tail], outs, scratch)
+                n_tail = 0
+            # n - k set flags after the chunk's k make flatnonzero return n
+            # positions, the chunk's k first, however many k is
+            flags[n : 2 * n - k] = True
+            flags[2 * n - k : 2 * n] = False
+            at = np.flatnonzero(flags[: 2 * n])[:k]
+            np.take(tc, at, out=tail_x[n_tail : n_tail + k], mode="clip")
+            np.add(at, start, out=tail_at[n_tail : n_tail + k])
+            del at  # freed before anything else is allocated
+            n_tail += k
+    if n_tail:
+        _erf_tail(tail_x[:n_tail], tail_at[:n_tail], outs, scratch)
     return out
 
 
-def _erf_tail(x: np.ndarray) -> np.ndarray:
-    """erf(x) in float64 for 1 < |x|: Cephes's 1 - erfc(|x|), |x| clamped to 8."""
-    a = np.abs(x, dtype=np.float64)
+def _erf_tail(x: np.ndarray, at: np.ndarray, out: np.ndarray, scratch: _ErfScratch) -> None:
+    """Write erf(x) to ``out``'s flat positions ``at``, for float64 x with 1 < |x|.
+
+    Cephes's 1 - erfc(|x|) with |x| clamped to 8, worked in the x^2 and
+    polynomial buffers of ``scratch``, which _erf's current chunk no longer needs.
+    """
+    n = x.size
+    _, a, e, w, _ = (buf[:n] for buf in scratch.work)
+    np.abs(x, out=a)
     np.minimum(a, 8.0, out=a)
-    e = a * a
+    np.multiply(a, a, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    p = a * _ERFC_P[0]
+    np.multiply(a, _ERFC_P[0], out=w)
     for c in _ERFC_P[1:-1]:
-        p += c
-        p *= a
-    p += _ERFC_P[-1]
-    q = a + _ERFC_Q[0]
+        w += c
+        w *= a
+    w += _ERFC_P[-1]
+    e *= w
+    np.add(a, _ERFC_Q[0], out=w)
     for c in _ERFC_Q[1:]:
-        q *= a
-        q += c
-    e *= p
-    e /= q
+        w *= a
+        w += c
+    e /= w
     np.subtract(1.0, e, out=e)
-    return np.copysign(e, x, out=e)
+    np.copysign(e, x, out=e)
+    res = scratch.rounded(out.dtype)[:n]
+    np.copyto(res, e)  # rounds once to out's dtype
+    np.put(out, at, res, mode="clip")
 
 
 # Elements per chunk of the inference GELU: its three float32 work buffers

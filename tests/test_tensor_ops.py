@@ -9,6 +9,7 @@ import multiprocessing
 import re
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -262,6 +263,48 @@ def test_erf_float64_is_within_2_ulp_of_scipys():
     assert (np.abs(got - want) <= 2 * np.spacing(np.abs(want))).all()
     assert (np.signbit(got) == np.signbit(x)).all()  # erf(-0) = -0
     assert np.isnan(T._erf(np.array([np.nan, -np.nan]))).all()
+
+
+def test_erf_allocates_alike_whatever_its_data():
+    # how many elements take the tail form (|x| > 1) must not change what a
+    # call allocates: scratch sized by the data, or made afresh by each call,
+    # moved training's peak RSS from one run to the next
+    x = np.random.default_rng(0).standard_normal(3 * T.ERF_CHUNK).astype(np.float32)
+    inputs = [x * 0.4, x * 3.0, x * 0.4]  # about 1% and 74% of each chunk past 1
+    T._erf(inputs[0])  # this thread's scratch is made on its first call
+    peaks = []
+    for y in inputs:
+        tracemalloc.start()
+        got = T._erf(y)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        _assert_same_bits(got, oracles.erf(y))
+    # besides its output, a call holds at most one chunk's positions at once,
+    # and the same whatever the data, up to a few small Python objects
+    assert max(peaks) <= x.nbytes + T.ERF_CHUNK * np.dtype(np.intp).itemsize + 4096
+    assert max(peaks) - min(peaks) < 1024
+
+
+def test_erf_threads_keep_their_own_scratch():
+    rng = np.random.default_rng(1)
+    xs = [(rng.standard_normal(2 * T.ERF_CHUNK + 7) * s).astype(np.float32) for s in (0.5, 3.0)]
+    want = [oracles.erf(x) for x in xs]
+    start = threading.Barrier(2)
+    got: list[list[np.ndarray]] = [[], []]
+
+    def run(i: int) -> None:
+        start.wait()
+        got[i] = [T._erf(xs[i]) for _ in range(20)]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for g, w in zip(got, want):
+        assert len(g) == 20
+        for out in g:
+            _assert_same_bits(out, w)
 
 
 # Untaped float32 gelu, layer_norm and avg_pool_2d take their inference forms;
