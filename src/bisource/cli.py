@@ -61,6 +61,11 @@ def _comma_list(value: str) -> list[str]:
     return [s for s in value.split(",") if s]
 
 
+def _require(ok: bool, rule: str, value) -> None:
+    if not ok:
+        raise ValueError(f"{rule}, found {value!r}")
+
+
 def _task_dataset(path, task: str) -> tuple[dict, list]:
     """The manifest and samples of the dataset at ``path``, which must hold ``task``."""
     manifest, samples = load_dataset(path)
@@ -87,6 +92,7 @@ def change_scores(model: BiSourceModel, samples) -> tuple[list[dict], dict]:
 
 
 def cmd_gen_data(o: argparse.Namespace) -> int:
+    _require(o.count >= 0, "--count must be at least 0", o.count)
     manifest = generate_dataset(o.task, o.out, o.count, o.size, o.seed)
     print(f"wrote {manifest['count']} {o.task} pairs to {o.out}")
     return 0
@@ -129,7 +135,24 @@ def load_checkpoint(path: str | Path) -> BiSourceModel:
     return model
 
 
+def _check_train_flags(o: argparse.Namespace) -> None:
+    _require(o.epochs >= 0, "--epochs must be at least 0", o.epochs)
+    _require(o.batch_size >= 1, "--batch-size must be at least 1", o.batch_size)
+    _require(math.isfinite(o.lr), "--lr must be finite", o.lr)
+    _require(math.isfinite(o.weight_decay), "--weight-decay must be finite", o.weight_decay)
+    # the per-epoch validation scores change masks
+    _require(not o.eval_data or o.task == "change",
+             "--eval-data needs --task change", o.task)
+    _require(not o.stop_f1 or o.eval_data, "--stop-f1 needs --eval-data", o.stop_f1)
+
+
+def _abort(reason, out_dir: Path) -> int:
+    print(f"aborting: {reason}; last-good checkpoint kept at {out_dir}", file=sys.stderr)
+    return 1
+
+
 def cmd_train(o: argparse.Namespace) -> int:
+    _check_train_flags(o)
     manifest, samples = _task_dataset(o.data, o.task)
     if not samples:
         raise ValueError("dataset is empty")
@@ -139,14 +162,13 @@ def cmd_train(o: argparse.Namespace) -> int:
                          input_hw=(size, size), ablate=o.ablate)
     model = BiSourceModel(config, seed=o.seed)
     out_dir = Path(o.out)
-    batch_size = max(1, o.batch_size)
     optimizer = AdamW(model.parameters(), lr=o.lr, weight_decay=o.weight_decay)
     rng = Rng(o.seed).spawn(7)
     eval_samples = _task_dataset(o.eval_data, o.task)[1] if o.eval_data else None
 
     _save_checkpoint(out_dir, model)  # init / last-good
     log_path = out_dir / "loss.csv"
-    steps_per_epoch = max(1, math.ceil(len(samples) / batch_size))
+    steps_per_epoch = max(1, math.ceil(len(samples) / o.batch_size))
     total_steps = max(1, o.epochs * steps_per_epoch)
     step = 0
     with open(log_path, "w", newline="") as fh:
@@ -157,16 +179,18 @@ def cmd_train(o: argparse.Namespace) -> int:
             order = rng.spawn(epoch).permutation(len(samples))
             losses = []
             t0 = time.perf_counter()
-            for start in range(0, len(order), batch_size):
-                batch = [samples[i] for i in order[start : start + batch_size]]
+            for start in range(0, len(order), o.batch_size):
+                batch = [samples[i] for i in order[start : start + o.batch_size]]
                 optimizer.lr = cosine_lr(o.lr, step, total_steps)
                 try:
                     losses.append(train_step(model, batch, optimizer))
                 except NumericalError as exc:
-                    print(f"aborting: {exc}; last-good checkpoint kept at {out_dir}",
-                          file=sys.stderr)
-                    return 1
+                    return _abort(exc, out_dir)
                 step += 1
+            # a finite loss can still leave a parameter non-finite after the update
+            bad = next((p.name for p in model.parameters() if not T.all_finite(p.value.data)), None)
+            if bad is not None:
+                return _abort(f"parameter {bad} holds NaN or Inf after step {step}", out_dir)
             mean_loss = float(np.mean(losses))
             row = [epoch, f"{mean_loss:.6f}"]
             msg = f"epoch {epoch}: loss {mean_loss:.4f} ({time.perf_counter() - t0:.1f}s)"

@@ -24,7 +24,6 @@ from .blocks import ConsistencyBlock, DifferenceBlock
 from .tensor import NumericalError, Parameter, Rng, Tape, Tensor, backward
 
 PATCH = 4
-NUM_STAGES = 4
 DIVISOR = 32  # patch stride 4 x three 2x merges
 
 HEAD_KINDS = ("binary", "multiclass", "density")
@@ -350,16 +349,22 @@ class BiSourceModel:
         return {p.name: p.value.data.copy() for p in self.parameters()}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        """Set every parameter from ``arrays``, or raise and change none."""
         named = self.registry.named()
         for problem, names in (("missing", set(named) - set(arrays)),
                                ("has unknown", set(arrays) - set(named))):
             if names:
                 raise ValueError(f"checkpoint {problem} parameters: {sorted(names)[:5]}...")
+        values = {}
         for name, p in named.items():
             a = arrays[name]
             if tuple(a.shape) != p.value.shape:
                 raise ValueError(f"{name}: checkpoint shape {a.shape} != model {p.value.shape}")
-            p.assign(a.astype(p.value.data.dtype))
+            values[name] = a.astype(p.value.data.dtype)
+            if not T.all_finite(values[name]):
+                raise ValueError(f"{name}: NaN or Inf in the checkpoint's values")
+        for name, p in named.items():
+            p.assign(values[name])
 
 
 def _split(x: Tensor, h: int, w: int, b: int) -> SourcePair:

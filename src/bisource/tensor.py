@@ -25,16 +25,17 @@ subtracts it in ``__del__``.
 
 Untaped ``attention_rows`` calls of more than one block of query rows and
 more than ATTN_HELPER_SCORES scores (b x M x N) share the blocks between the
-calling thread and one helper thread, started on first use, when the process
-may run on two or more CPUs.  The helper runs numpy only: it creates no
-Tensor, calls no public op and records nothing, so ``alloc_stats``, the Tape
-and anything that wraps the public ops see the call from the calling thread
-alone.  Blocks are the same with one CPU or two, so the output bits are too.
-The untaped path divides each block's product with the values and a ones
-column instead of normalising the probabilities, and skips the max shift for
-a sample whose scores are bounded by ATTN_SHIFT_LIMIT; its output agrees with
-the taped path's to float rounding (a few 1e-6 of the peak in float32), not
-bit for bit.
+calling thread and one helper thread, which the call starts and joins before
+it returns or raises, when the process may run on two or more CPUs.  So no
+thread outlives a call, and a forked child inherits none.  The helper runs
+numpy only: it creates no Tensor, calls no public op and records nothing, so
+``alloc_stats``, the Tape and anything that wraps the public ops see the call
+from the calling thread alone.  Blocks are the same with one CPU or two, so
+the output bits are too.  The untaped path divides each block's product with
+the values and a ones column instead of normalising the probabilities, and
+skips the max shift for a sample whose scores are bounded by
+ATTN_SHIFT_LIMIT; its output agrees with the taped path's to float rounding
+(a few 1e-6 of the peak in float32), not bit for bit.
 
 ``gelu`` needs erf, which numpy lacks: taped and float64 calls take
 ``_erf``, W. J. Cody's rational forms as Cephes evaluates them, in float64
@@ -133,27 +134,6 @@ try:
     _CPUS = len(os.sched_getaffinity(0))  # the CPUs this process may run on
 except AttributeError:  # platforms without CPU affinity
     _CPUS = os.cpu_count() or 1
-_helper: ThreadPoolExecutor | None = None
-_helper_lock = threading.Lock()
-
-
-def _attention_helper() -> ThreadPoolExecutor:
-    global _helper
-    with _helper_lock:
-        if _helper is None:
-            _helper = ThreadPoolExecutor(1, thread_name_prefix="bisource-attn")
-        return _helper
-
-
-def _forget_attention_helper() -> None:
-    # a forked child has no helper thread; work queued on the parent's pool
-    # would never run there, so the child starts its own
-    global _helper, _helper_lock
-    _helper = None
-    _helper_lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_attention_helper)
 
 
 class NumericalError(ValueError):
@@ -787,8 +767,9 @@ def attention_rows(q: Tensor, k: Tensor, v: Tensor, scale: float, b: int = 1) ->
     Without one, ``scale`` is folded into q and each sample's scores are built
     ATTN_ROW_BLOCK query rows at a time, by this thread and, for calls of
     more than one block and more than ATTN_HELPER_SCORES scores on two or
-    more CPUs, the helper thread.  Every block sees all of its sample's
-    keys, and no more than 2 x ATTN_ROW_BLOCK x N scores are held at once.
+    more CPUs, a helper thread that the call starts and joins.  Every block
+    sees all of its sample's keys, and no more than 2 x ATTN_ROW_BLOCK x N
+    scores are held at once.
     A block makes two elementwise passes over its scores when they need no
     shift: exp, and the product with the sample's values and a ones column,
     which gives each row's sum p v and sum p; the [rows, dv] quotient is the
@@ -823,16 +804,14 @@ def attention_rows(q: Tensor, k: Tensor, v: Tensor, scale: float, b: int = 1) ->
     bufs = np.empty((threads, min(ATTN_ROW_BLOCK, m), n), dtype=np.result_type(qs, kt))
     # shared by both threads: each next() claims one block, atomically under the GIL
     blocks = iter(range(n_blocks))
-    helper = None
-    if threads == 2:
-        helper = _attention_helper().submit(
-            _attention_blocks, qs, kt, va, shift, out, blocks, bufs[1])
-    try:
+    if threads == 1:
         _attention_blocks(qs, kt, va, shift, out, blocks, bufs[0])
-    finally:
-        # never return or raise while the helper may still write `out`; a
-        # helper that has not started yet is cancelled rather than awaited
-        if helper is not None and not helper.cancel():
+    else:
+        # leaving the block joins the helper, so nothing returns or raises
+        # while it may still write `out`
+        with ThreadPoolExecutor(1, thread_name_prefix="bisource-attn") as pool:
+            helper = pool.submit(_attention_blocks, qs, kt, va, shift, out, blocks, bufs[1])
+            _attention_blocks(qs, kt, va, shift, out, blocks, bufs[0])
             helper.result()
     return _out(out, None)
 

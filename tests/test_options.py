@@ -2,7 +2,9 @@
 point (flag, config file, config class, checkpoint header)."""
 
 import json
+import re
 
+import numpy as np
 import pytest
 
 from bisource.ada import AdaConfig
@@ -151,3 +153,71 @@ def test_eval_data_of_another_task_is_rejected(data, tmp_path, capsys):
     assert train(data, tmp_path, "--eval-data", str(density)) == 1
     assert "dataset task 'density' != requested 'change'" in one_error_line(capsys)
 
+
+
+@pytest.mark.parametrize("flags,config,error", [
+    (["--batch-size", "0"], {"batch_size": 0}, "--batch-size must be at least 1, found 0"),
+    (["--epochs", "-1"], {"epochs": -1}, "--epochs must be at least 0, found -1"),
+    (["--lr", "nan"], {"lr": "nan"}, "--lr must be finite, found nan"),
+    (["--weight-decay", "inf"], {"weight_decay": "inf"}, "--weight-decay must be finite, found inf"),
+    (["--task", "density", "--eval-data", "held-out"], {"task": "density", "eval_data": "held-out"},
+     "--eval-data needs --task change, found 'density'"),
+    (["--stop-f1", "0.5"], {"stop_f1": 0.5}, "--stop-f1 needs --eval-data, found 0.5"),
+], ids=["batch-size", "epochs", "lr", "weight-decay", "eval-data", "stop-f1"])
+def test_bad_train_flag_fails_alike_before_any_work(data, tmp_path, capsys, flags, config, error):
+    argv = ["train", "--data", str(data), "--out", str(tmp_path / "ckpt"), "--channels", "4"]
+    assert main(argv + flags) == 1
+    assert one_error_line(capsys).rstrip("\n").endswith(error)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(argv + ["--config", str(path)]) == 1
+    assert one_error_line(capsys).rstrip("\n").endswith(error)
+    assert not (tmp_path / "ckpt").exists()
+
+
+def test_negative_count_fails_alike_before_any_work(tmp_path, capsys):
+    argv = ["gen-data", "--out", str(tmp_path / "data")]
+    assert main(argv + ["--count", "-1"]) == 1
+    assert one_error_line(capsys).rstrip("\n").endswith("--count must be at least 0, found -1")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"count": -1}))
+    assert main(argv + ["--config", str(path)]) == 1
+    assert one_error_line(capsys).rstrip("\n").endswith("--count must be at least 0, found -1")
+    assert not (tmp_path / "data").exists()
+
+
+def test_an_update_that_leaves_a_parameter_non_finite_keeps_the_last_good_checkpoint(
+        data, tmp_path, capsys):
+    assert train(data, tmp_path) == 0  # the init checkpoint
+    ckpt = tmp_path / "ckpt" / "checkpoint.bin"
+    init = ckpt.read_bytes()
+    # the loss is finite, but a step of 1e300 takes the float32 parameters past their range
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert train(data, tmp_path, "--epochs", "3", "--lr", "1e300") == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"aborting: parameter \S+ holds NaN or Inf after step 1; "
+                        rf"last-good checkpoint kept at {re.escape(str(tmp_path / 'ckpt'))}\n", err), err
+    assert ckpt.read_bytes() == init
+    model = load_checkpoint(tmp_path / "ckpt")
+    assert all(np.isfinite(p.value.data).all() for p in model.parameters())
+
+
+def test_checkpoint_with_a_nan_names_the_file_and_the_tensor(data, tmp_path, capsys):
+    assert train(data, tmp_path) == 0
+    arrays, header = load_tensor_dir(tmp_path / "ckpt")
+    model = BiSourceModel(ModelConfig.from_json(header["model_config"]), seed=1)
+    name = list(model.registry.named())[-1]  # the last one a loader would set
+    arrays[name] = arrays[name].copy()
+    arrays[name].flat[-1] = np.nan
+    save_tensor_dir(tmp_path / "bad", arrays, extra=header)
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(tmp_path / "bad")
+    assert str(exc.value) == f"{tmp_path / 'bad'}: {name}: NaN or Inf in the checkpoint's values"
+    # a rejected checkpoint leaves the model it was loaded into as it was
+    before = model.state_arrays()
+    with pytest.raises(ValueError, match=re.escape(name)):
+        model.load_state(arrays)
+    assert all(np.array_equal(before[n], a) for n, a in model.state_arrays().items())
+    assert main(["eval", "--ckpt", str(tmp_path / "bad"), "--data", str(data),
+                 "--out", str(tmp_path / "m.csv")]) == 1
+    assert one_error_line(capsys).rstrip("\n").endswith(str(exc.value))

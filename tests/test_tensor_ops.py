@@ -910,7 +910,7 @@ def test_attention_rows_shape_errors():
 
 
 # ---------------------------------------------------------------------------
-# attention_rows: blocks shared with the helper thread
+# attention_rows: blocks shared with a helper thread that each call joins
 # ---------------------------------------------------------------------------
 
 
@@ -927,11 +927,9 @@ def _attention_bytes(rows: int, dtype) -> bytes:
     return T.attention_rows(q, k, v, 0.3).data.tobytes()
 
 
-def _assert_helper_idle() -> None:
-    # the helper takes work in order, so once a no-op has run nothing is queued
-    pool = T._attention_helper()
-    pool.submit(lambda: None).result(timeout=60)
-    assert pool._work_queue.empty()
+def _assert_no_helper_alive() -> None:
+    # each parallel call joins its helper before it returns or raises
+    assert not [t for t in threading.enumerate() if t.name.startswith("bisource-attn")]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, F64])
@@ -982,18 +980,32 @@ def _attention_call(b: int, rows: int, keys: int) -> None:
     T.attention_rows(q, kv, kv, 0.3, b)
 
 
+def _threads_running_blocks(monkeypatch, call) -> set[str]:
+    names: set[str] = set()
+    run_blocks = T._attention_blocks
+
+    def spy(*args):
+        names.add(threading.current_thread().name)
+        run_blocks(*args)
+
+    monkeypatch.setattr(T, "_attention_blocks", spy)
+    call()
+    monkeypatch.setattr(T, "_attention_blocks", run_blocks)
+    return names
+
+
 def test_attention_rows_helper_starts_only_beyond_the_score_threshold_on_two_cpus(monkeypatch):
-    monkeypatch.setattr(T, "_helper", None)
+    caller = {threading.current_thread().name}
     monkeypatch.setattr(T, "_CPUS", 1)
-    _attention_call(1, 4096, 300)
+    assert _threads_running_blocks(monkeypatch, lambda: _attention_call(1, 4096, 300)) == caller
     monkeypatch.setattr(T, "_CPUS", 2)
     assert 4 * 256 * 256 == T.ATTN_HELPER_SCORES
-    _attention_call(4, 256, 256)  # at the threshold
-    _attention_call(1, T.ATTN_ROW_BLOCK, 4096)  # one block
-    assert T._helper is None
-    _attention_call(1, 1025, 256)
-    assert T._helper is not None
-    T._helper.shutdown()
+    for at_or_below in [lambda: _attention_call(4, 256, 256),  # at the threshold
+                        lambda: _attention_call(1, T.ATTN_ROW_BLOCK, 4096)]:  # one block
+        assert _threads_running_blocks(monkeypatch, at_or_below) == caller
+    above = _threads_running_blocks(monkeypatch, lambda: _attention_call(1, 1025, 256))
+    assert above == caller | {"bisource-attn_0"}
+    _assert_no_helper_alive()
 
 
 @pytest.mark.parametrize("row", [0, 4095])  # first and last block
@@ -1003,26 +1015,26 @@ def test_attention_rows_nan_in_a_parallel_call_reaches_the_caller(two_cpus, row)
     bad[row, 5] = np.nan
     with pytest.raises(NumericalError, match="attention_rows"):
         T.attention_rows(Tensor(bad), k, v, 0.3)
+    _assert_no_helper_alive()
     want = T.attention_rows(q, k, v, 0.3).data
-    _assert_helper_idle()
+    _assert_no_helper_alive()
     np.testing.assert_array_equal(T.attention_rows(q, k, v, 0.3).data, want)
 
 
-def test_attention_rows_concurrent_callers_share_the_helper(two_cpus):
+def test_attention_rows_concurrent_callers_each_join_their_helper(two_cpus):
     serial = _attention_bytes(4096, np.float32)
     jobs = [lambda: _attention_bytes(4096, np.float32)] * 3
     assert _in_threads(*jobs) == [serial] * 3
-    _assert_helper_idle()
+    _assert_no_helper_alive()
 
 
 def _fork_child(conn) -> None:
-    conn.send((T._helper is None, _attention_bytes(4096, np.float32)))
+    conn.send(_attention_bytes(4096, np.float32))
     conn.close()
 
 
 def test_attention_rows_in_a_forked_child_after_the_helper_started(two_cpus):
-    want = _attention_bytes(4096, np.float32)  # starts the helper
-    assert T._helper is not None
+    want = _attention_bytes(4096, np.float32)  # starts and joins a helper
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_fork_child, args=(send,))
@@ -1030,13 +1042,12 @@ def test_attention_rows_in_a_forked_child_after_the_helper_started(two_cpus):
     send.close()
     try:
         assert recv.poll(timeout=120), "the child sent nothing"
-        forgotten, got = recv.recv()
+        got = recv.recv()
     finally:
         child.join(timeout=60)
         if child.is_alive():
             child.kill()
     assert not child.is_alive() and child.exitcode == 0
-    assert forgotten
     assert got == want
 
 
