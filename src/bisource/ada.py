@@ -142,7 +142,7 @@ class CompWeights:
     at windows {1, 3, 5}, normalize, project and split into (key, value)."""
 
     def __init__(self, reg: ParamRegistry, comp_op: str, feat_dim: int, proto_dim: int, name: str) -> None:
-        self.op = {"consistency": "mul", "difference": "absdiff"}[comp_op]
+        self.product = comp_op == "consistency"  # else "difference"
         cin = 3 * feat_dim
         self.ln_g = reg.make(f"{name}.ln_g", (cin,), "ones")
         self.ln_b = reg.make(f"{name}.ln_b", (cin,), "zeros")
@@ -151,7 +151,7 @@ class CompWeights:
         self.proto_dim = proto_dim
 
     def __call__(self, s: SourcePair) -> tuple[Tensor, Tensor]:
-        base = getattr(T, self.op)(s.f1, s.f2)  # looked up per call, so wrappers on T see it
+        base = T.mul(s.f1, s.f2) if self.product else T.absdiff(s.f1, s.f2)
         c = base.shape[-1]
         grid = T.reshape(base, (s.b, s.h, s.w, c))
         p1 = T.avg_pool_2d(grid, 3)

@@ -4,10 +4,11 @@ Subcommands: gen-data (synthetic datasets), train, eval, gradcheck, bench.
 Every subcommand accepts --config pointing at a JSON object whose keys are
 the subcommand's flag names (underscored).  Its values become the flags'
 defaults: a string value is converted as its flag converts one, a number
-must be of its flag's type, and explicit flags win; an error in the file
-names the file and the key.  All randomness is derived from --seed.  Exit
-status is 0 on success; failures print a single machine-parseable line
-``bisource: error: <Type>: <message>`` to stderr and exit 1.
+must be of its flag's type, and explicit flags win; the file may give a
+required flag; an error in the file names the file and the key.  All
+randomness is derived from --seed.  Exit status is 0 on success; failures
+print a single machine-parseable line ``bisource: error: <Type>: <message>``
+to stderr and exit 1.
 
 Eval CSV column order:
   change task:  image,Pre,Rec,F1,IOU,OA
@@ -139,10 +140,13 @@ def _check_train_flags(o: argparse.Namespace) -> None:
     _require(o.epochs >= 0, "--epochs must be at least 0", o.epochs)
     _require(o.batch_size >= 1, "--batch-size must be at least 1", o.batch_size)
     _require(math.isfinite(o.lr), "--lr must be finite", o.lr)
+    _require(o.lr >= 0, "--lr must be at least 0", o.lr)
     _require(math.isfinite(o.weight_decay), "--weight-decay must be finite", o.weight_decay)
+    _require(o.weight_decay >= 0, "--weight-decay must be at least 0", o.weight_decay)
     # the per-epoch validation scores change masks
     _require(not o.eval_data or o.task == "change",
              "--eval-data needs --task change", o.task)
+    _require(0 <= o.stop_f1 <= 1, "--stop-f1 must be in [0, 1]", o.stop_f1)  # a NaN fails it too
     _require(not o.stop_f1 or o.eval_data, "--stop-f1 needs --eval-data", o.stop_f1)
 
 
@@ -156,7 +160,7 @@ def cmd_train(o: argparse.Namespace) -> int:
     manifest, samples = _task_dataset(o.data, o.task)
     if not samples:
         raise ValueError("dataset is empty")
-    size = int(manifest["size"])
+    size = manifest["size"]
     config = ModelConfig(in_channels=1, base_channels=o.channels, num_prototypes=o.k,
                          attention_form=o.attention, head=TASK_HEADS[o.task],
                          input_hw=(size, size), ablate=o.ablate)
@@ -508,12 +512,21 @@ def _config_value(path: str, key: str, value, action: argparse.Action):
 
 def main(argv=None) -> int:
     parser, subcommands = build_parser()
+    # the first parse finds the subcommand and --config, which may give a
+    # required flag; the second checks every flag
+    required = [a for sub in subcommands.values() for a in sub._actions if a.required]
+    for action in required:
+        action.required = False
     ns = parser.parse_args(argv)
     try:
+        defaults = {}
         if ns.config:
             sub = subcommands[ns.command]
-            sub.set_defaults(**_config_defaults(ns.config, sub))
-            ns = parser.parse_args(argv)
+            defaults = _config_defaults(ns.config, sub)
+            sub.set_defaults(**defaults)
+        for action in required:
+            action.required = defaults.get(action.dest) is None  # a null gives no value
+        ns = parser.parse_args(argv)
         return ns.func(ns)
     except (ValueError, TypeError, OSError, KeyError, T.ShapeError, NumericalError) as exc:
         msg = " ".join(str(exc).split())

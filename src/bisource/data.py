@@ -174,12 +174,39 @@ def generate_dataset(task: str, out_dir: str | Path, count: int, size: int, seed
 
 
 def load_dataset(data_dir: str | Path) -> tuple[dict, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """The manifest of the dataset at ``data_dir`` and its (img1, img2, target)
+    samples, the images scaled to [0, 1].
+
+    The manifest's task, size and samples, each entry's three file names, each
+    file's size x size shape and the targets' finiteness are checked as they
+    are read; a fault is one ValueError that names the manifest and the entry,
+    or the file.
+    """
     data_dir = Path(data_dir)
-    manifest = load_json(data_dir / "manifest.json")
+    path = data_dir / "manifest.json"
+    manifest = load_json(path)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: manifest must be a JSON object, found {type(manifest).__name__}")
+    task, size, entries = manifest.get("task"), manifest.get("size"), manifest.get("samples")
+    if task not in ("change", "density"):
+        raise ValueError(f"{path}: 'task' must be 'change' or 'density', found {task!r}")
+    if type(size) is not int or size < 1:
+        raise ValueError(f"{path}: 'size' must be a positive integer, found {size!r}")
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: 'samples' must be a list, found {entries!r}")
     samples = []
-    for entry in manifest["samples"]:
-        img1 = read_pgm(data_dir / entry["img1"]).astype(np.float32) / 255.0
-        img2 = read_pgm(data_dir / entry["img2"]).astype(np.float32) / 255.0
-        target = load_cpt1(data_dir / entry["target"])
-        samples.append((img1, img2, target))
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: sample {i} must be a JSON object, found {entry!r}")
+        for key in ("img1", "img2", "target"):
+            if not isinstance(entry.get(key), str):
+                raise ValueError(f"{path}: sample {i} needs a file name at {key!r}, found {entry.get(key)!r}")
+        f1, f2, ft = (data_dir / entry[key] for key in ("img1", "img2", "target"))
+        img1, img2, target = read_pgm(f1), read_pgm(f2), load_cpt1(ft)
+        for f, arr in ((f1, img1), (f2, img2), (ft, target)):
+            if arr.shape != (size, size):
+                raise ValueError(f"{f}: shape {arr.shape} != the manifest's size ({size}, {size})")
+        if not np.isfinite(target).all():
+            raise ValueError(f"{ft}: target holds NaN or Inf")
+        samples.append((img1.astype(np.float32) / 255.0, img2.astype(np.float32) / 255.0, target))
     return manifest, samples

@@ -39,9 +39,10 @@ ATTN_SHIFT_LIMIT; its output agrees with the taped path's to float rounding
 
 ``gelu`` needs erf, which numpy lacks: taped and float64 calls take
 ``_erf``, W. J. Cody's rational forms as Cephes evaluates them, in float64
-chunks and in work buffers each thread keeps (``_ErfScratch``), so what a
-call allocates does not depend on its data.  Its float32 results have the
-bits of scipy's float32 erf; its float64 ones are within 2 ulp of scipy's.
+chunks whose |x| > 1 elements are finished within the chunk, and in work
+buffers each thread keeps (``_erf_kept``), so what a call allocates does not
+depend on its data.  Its float32 results have the bits of scipy's float32
+erf; its float64 ones are within 2 ulp of scipy's.
 
 Untaped float32 calls of ``gelu``, ``layer_norm`` and ``avg_pool_2d`` are
 inference calls (``_inference``): no gradient and no float64 replay depends on
@@ -56,6 +57,7 @@ calls keep the exact forms, bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -529,45 +531,15 @@ _ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.463210564422
 _ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
            9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
            1.65666309194161350182e3, 5.57535340817727675546e2)
-# Elements per chunk of _erf: its work buffers (five float64 arrays of
-# ERF_CHUNK, the gathered tail's positions and the chunk's flags, about 0.8
-# MB) stay in a core's L2 cache.
+# Elements per chunk of _erf: its work buffers (four float64 arrays of
+# ERF_CHUNK, the chunk's flags and its tail's positions, about 0.7 MB) stay in
+# a core's L2 cache.
 ERF_CHUNK = 16384
-
-
-class _ErfScratch:
-    """_erf's work buffers, made on a thread's first call and kept for its next.
-
-    Buffers made afresh by every call, or sized by the data, left holes in
-    the heap that later arrays filled differently from run to run, so a
-    training process's peak RSS moved by several MB between runs.  Kept, they
-    leave every step's heap laid out alike.
-    """
-
-    def __init__(self) -> None:
-        # x, x^2, the two polynomials and the gathered |x| > 1 elements; five
-        # arrays, not rows of one, whose 128 KB stride slowed the passes
-        self.work = [np.empty(ERF_CHUNK) for _ in range(5)]
-        self.tail_at = np.empty(ERF_CHUNK, np.intp)  # the gathered elements' flat positions
-        self.flags = np.empty(2 * ERF_CHUNK, bool)
-        self._rounded: dict[np.dtype, np.ndarray] = {}
-
-    def rounded(self, dtype: np.dtype) -> np.ndarray:
-        """A buffer of ERF_CHUNK elements of ``dtype`` for the rounded tail."""
-        buf = self._rounded.get(dtype)
-        if buf is None:
-            buf = self._rounded[dtype] = np.empty(ERF_CHUNK, dtype)
-        return buf
-
-
-_erf_local = threading.local()
-
-
-def _erf_scratch() -> _ErfScratch:
-    scratch = getattr(_erf_local, "scratch", None)
-    if scratch is None:
-        scratch = _erf_local.scratch = _ErfScratch()
-    return scratch
+# Each thread's _erf work buffers, made on its first call and kept for its
+# next.  Buffers made afresh by every call, or sized by the data, left holes in
+# the heap that later arrays filled differently from run to run, so a training
+# process's peak RSS moved by several MB between runs.
+_erf_kept = threading.local()
 
 
 def _erf(x: np.ndarray) -> np.ndarray:
@@ -576,17 +548,19 @@ def _erf(x: np.ndarray) -> np.ndarray:
     Each operation is Cephes's, so a float32 result has the bits of scipy's
     float32 erf (which rounds its float64 erf) and a float64 one is within 2
     ulp of scipy's; erf(+-0) = +-0, erf(+-inf) = +-1 and NaN stays NaN.
-    Elements with |x| > 1 are gathered, up to ERF_CHUNK at a time, and take
-    the tail form together.  Work happens in the calling thread's
-    ``_ErfScratch``; besides the output, a call allocates only buffers whose
+    Every element takes the |x| <= 1 form; a chunk's elements with |x| > 1
+    are then gathered, take the tail form together and are written back
+    before the next chunk.  Work happens in buffers the calling thread keeps
+    (``_erf_kept``); besides the output, a call allocates only buffers whose
     sizes do not depend on how many elements have |x| > 1.
     """
     out = np.empty(x.shape, x.dtype)  # C order, so outs is a view of it
     xs, outs = x.reshape(-1), out.reshape(-1)
-    scratch = _erf_scratch()
-    t, z, p, q, tail_x = scratch.work
-    tail_at, flags = scratch.tail_at, scratch.flags
-    n_tail = 0  # elements gathered: x in tail_x, flat positions in tail_at
+    bufs = getattr(_erf_kept, "bufs", None)
+    if bufs is None:
+        # four arrays, not rows of one, whose 128 KB stride slowed the passes
+        bufs = _erf_kept.bufs = (*(np.empty(ERF_CHUNK) for _ in range(4)), np.empty(2 * ERF_CHUNK, bool))
+    t, z, p, q, flags = bufs
     for start in range(0, x.size, ERF_CHUNK):
         xc, o = xs[start : start + ERF_CHUNK], outs[start : start + ERF_CHUNK]
         n = xc.size
@@ -612,53 +586,40 @@ def _erf(x: np.ndarray) -> np.ndarray:
             qc += c
         pc *= tc
         np.divide(pc, qc, out=o)
-        if k:
-            if n_tail + k > ERF_CHUNK:
-                _erf_tail(tail_x[:n_tail], tail_at[:n_tail], outs, scratch)
-                n_tail = 0
-            # n - k set flags after the chunk's k make flatnonzero return n
-            # positions, the chunk's k first, however many k is
-            flags[n : 2 * n - k] = True
-            flags[2 * n - k : 2 * n] = False
-            at = np.flatnonzero(flags[: 2 * n])[:k]
-            np.take(tc, at, out=tail_x[n_tail : n_tail + k], mode="clip")
-            np.add(at, start, out=tail_at[n_tail : n_tail + k])
-            del at  # freed before anything else is allocated
-            n_tail += k
-    if n_tail:
-        _erf_tail(tail_x[:n_tail], tail_at[:n_tail], outs, scratch)
+        if not k:
+            continue
+        # n - k set flags after the chunk's k make flatnonzero return n
+        # positions, the chunk's k first, however many k is
+        flags[n : 2 * n - k] = True
+        flags[2 * n - k : 2 * n] = False
+        at = np.flatnonzero(flags[: 2 * n])[:k]
+        # Cephes's 1 - erfc(|x|) with |x| clamped to 8: the tail's x goes to
+        # the polynomial buffer the head form has finished with
+        tx, a, e, w = p[:k], t[:k], z[:k], q[:k]
+        np.take(tc, at, out=tx, mode="clip")
+        np.abs(tx, out=a)
+        np.minimum(a, 8.0, out=a)
+        np.multiply(a, a, out=e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        np.multiply(a, _ERFC_P[0], out=w)
+        for c in _ERFC_P[1:-1]:
+            w += c
+            w *= a
+        w += _ERFC_P[-1]
+        e *= w
+        np.add(a, _ERFC_Q[0], out=w)
+        for c in _ERFC_Q[1:]:
+            w *= a
+            w += c
+        e /= w
+        np.subtract(1.0, e, out=e)
+        np.copysign(e, tx, out=e)
+        rounded = q.view(x.dtype)[:k]  # w's buffer, free once e is divided
+        np.copyto(rounded, e)  # rounds once to x's dtype
+        np.put(o, at, rounded, mode="clip")
+        del at  # freed before the next chunk's positions are allocated
     return out
-
-
-def _erf_tail(x: np.ndarray, at: np.ndarray, out: np.ndarray, scratch: _ErfScratch) -> None:
-    """Write erf(x) to ``out``'s flat positions ``at``, for float64 x with 1 < |x|.
-
-    Cephes's 1 - erfc(|x|) with |x| clamped to 8, worked in the x^2 and
-    polynomial buffers of ``scratch``, which _erf's current chunk no longer needs.
-    """
-    n = x.size
-    _, a, e, w, _ = (buf[:n] for buf in scratch.work)
-    np.abs(x, out=a)
-    np.minimum(a, 8.0, out=a)
-    np.multiply(a, a, out=e)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    np.multiply(a, _ERFC_P[0], out=w)
-    for c in _ERFC_P[1:-1]:
-        w += c
-        w *= a
-    w += _ERFC_P[-1]
-    e *= w
-    np.add(a, _ERFC_Q[0], out=w)
-    for c in _ERFC_Q[1:]:
-        w *= a
-        w += c
-    e /= w
-    np.subtract(1.0, e, out=e)
-    np.copysign(e, x, out=e)
-    res = scratch.rounded(out.dtype)[:n]
-    np.copyto(res, e)  # rounds once to out's dtype
-    np.put(out, at, res, mode="clip")
 
 
 # Elements per chunk of the inference GELU: its three float32 work buffers
@@ -1020,22 +981,16 @@ def _box_sum_shifted(a: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-_counts_cache: dict[tuple[int, int, int, str], np.ndarray] = {}
-
-
+@functools.cache
 def _valid_counts(h: int, w: int, window: int, dtype) -> np.ndarray:
     """Read-only [h, w] count of the in-bounds pixels of each window."""
-    key = (h, w, window, np.dtype(dtype).name)
-    counts = _counts_cache.get(key)
-    if counts is None:
-        r = window // 2
-        i = np.arange(h)
-        j = np.arange(w)
-        ci = np.clip(i + r + 1, 0, h) - np.clip(i - r, 0, h)
-        cj = np.clip(j + r + 1, 0, w) - np.clip(j - r, 0, w)
-        counts = (ci[:, None] * cj[None, :]).astype(dtype)
-        counts.flags.writeable = False
-        _counts_cache[key] = counts
+    r = window // 2
+    i = np.arange(h)
+    j = np.arange(w)
+    ci = np.clip(i + r + 1, 0, h) - np.clip(i - r, 0, h)
+    cj = np.clip(j + r + 1, 0, w) - np.clip(j - r, 0, w)
+    counts = (ci[:, None] * cj[None, :]).astype(dtype)
+    counts.flags.writeable = False
     return counts
 
 
@@ -1074,23 +1029,18 @@ def avg_pool_2d(x: Tensor, window: int) -> Tensor:
     return _out(y, fn)
 
 
-_interp_cache: dict[tuple[int, str], np.ndarray] = {}
-
-
+@functools.cache
 def _interp_matrix(h: int, dtype) -> np.ndarray:
-    """2h x h bilinear interpolation weights (align_corners=False)."""
-    key = (h, np.dtype(dtype).name)
-    m = _interp_cache.get(key)
-    if m is None:
-        m = np.zeros((2 * h, h), dtype=dtype)
-        for i in range(2 * h):
-            src = min(max((i + 0.5) / 2.0 - 0.5, 0.0), h - 1.0)
-            i0 = int(np.floor(src))
-            f = src - i0
-            m[i, i0] += 1.0 - f
-            if i0 + 1 < h:
-                m[i, i0 + 1] += f
-        _interp_cache[key] = m
+    """Read-only 2h x h bilinear interpolation weights (align_corners=False)."""
+    m = np.zeros((2 * h, h), dtype=dtype)
+    for i in range(2 * h):
+        src = min(max((i + 0.5) / 2.0 - 0.5, 0.0), h - 1.0)
+        i0 = int(np.floor(src))
+        f = src - i0
+        m[i, i0] += 1.0 - f
+        if i0 + 1 < h:
+            m[i, i0 + 1] += f
+    m.flags.writeable = False
     return m
 
 

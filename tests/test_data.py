@@ -1,9 +1,13 @@
 """Synthetic data generators: determinism, mask semantics, density mass."""
 
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bisource.data import (
     ChangeSceneSpec,
@@ -13,7 +17,16 @@ from bisource.data import (
     generate_dataset,
     load_dataset,
 )
+from bisource.io import save_cpt1, write_pgm
 from bisource.metrics import grid_count_error
+
+FILE_KEYS = ("img1", "img2", "target")
+NOT_A_TASK_SIZE_OR_LIST = st.one_of(st.none(), st.booleans(), st.integers(-3, 0),
+                                    st.floats(allow_nan=False), st.text(max_size=3))
+NOT_A_NAME = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+                       st.lists(st.text(max_size=3), max_size=2))
+EXAMPLES = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 def test_change_pair_deterministic():
@@ -131,3 +144,83 @@ def test_manifest_json_parses(tmp_path):
         m = json.load(fh)
     assert m["task"] == "density"
     assert len(m["samples"]) == 1
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ds") / "data"
+    generate_dataset("change", out, count=3, size=16, seed=2)
+    return out
+
+
+def load_fault(dataset, fault) -> tuple[str, str]:
+    """The message of the ValueError load_dataset raises on a copy of
+    ``dataset`` that ``fault(copy, manifest)`` has changed, and the message
+    ``fault`` returns; the manifest is written back after the call."""
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp) / "data"
+        shutil.copytree(dataset, bad)
+        manifest = json.loads((bad / "manifest.json").read_text())
+        want = fault(bad, manifest)
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError) as exc:
+            load_dataset(bad)
+        return str(exc.value), want
+
+
+@EXAMPLES
+@given(key=st.sampled_from(["task", "size", "samples"]), value=NOT_A_TASK_SIZE_OR_LIST, drop=st.booleans())
+def test_a_bad_manifest_field_names_the_manifest(dataset, key, value, drop):
+    def fault(bad, manifest):
+        if drop:
+            del manifest[key]
+        else:
+            manifest[key] = value
+        return f"{bad / 'manifest.json'}: {key!r} must be "
+
+    got, want = load_fault(dataset, fault)
+    assert got.startswith(want)
+
+
+@EXAMPLES
+@given(i=st.integers(0, 2), key=st.sampled_from(FILE_KEYS), value=NOT_A_NAME, drop=st.booleans())
+def test_an_entry_without_a_file_name_names_the_manifest_and_the_entry(dataset, i, key, value, drop):
+    def fault(bad, manifest):
+        if drop:
+            del manifest["samples"][i][key]
+        else:
+            manifest["samples"][i][key] = value
+        return f"{bad / 'manifest.json'}: sample {i} needs a file name at {key!r}"
+
+    got, want = load_fault(dataset, fault)
+    assert got.startswith(want)
+
+
+@EXAMPLES
+@given(i=st.integers(0, 2), key=st.sampled_from(FILE_KEYS),
+       shape=st.tuples(st.integers(1, 24), st.integers(1, 24)).filter(lambda s: s != (16, 16)))
+def test_a_file_of_the_wrong_shape_is_named(dataset, i, key, shape):
+    def fault(bad, manifest):
+        path = bad / manifest["samples"][i][key]
+        if key == "target":
+            save_cpt1(path, np.zeros(shape, np.float32))
+        else:
+            write_pgm(path, np.zeros(shape, np.uint8))
+        return f"{path}: shape {shape} != the manifest's size (16, 16)"
+
+    got, want = load_fault(dataset, fault)
+    assert got == want
+
+
+@EXAMPLES
+@given(i=st.integers(0, 2), at=st.integers(0, 255), value=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_a_non_finite_target_is_named(dataset, i, at, value):
+    def fault(bad, manifest):
+        path = bad / manifest["samples"][i]["target"]
+        target = np.zeros((16, 16), np.float32)
+        target.flat[at] = value
+        save_cpt1(path, target)
+        return f"{path}: target holds NaN or Inf"
+
+    got, want = load_fault(dataset, fault)
+    assert got == want

@@ -3,13 +3,15 @@ point (flag, config file, config class, checkpoint header)."""
 
 import json
 import re
+import shutil
 
 import numpy as np
 import pytest
 
 from bisource.ada import AdaConfig
 from bisource.cli import load_checkpoint, main
-from bisource.io import load_tensor_dir, save_tensor_dir
+from bisource.data import load_dataset
+from bisource.io import load_tensor_dir, save_cpt1, save_tensor_dir
 from bisource.model import ABLATIONS, BiSourceModel, ModelConfig, ablation_variant
 
 BAD_COUNTS = [(2.5, "2.5"), (True, "True"), (0, "0"), ("x", "'x'")]
@@ -163,7 +165,12 @@ def test_eval_data_of_another_task_is_rejected(data, tmp_path, capsys):
     (["--task", "density", "--eval-data", "held-out"], {"task": "density", "eval_data": "held-out"},
      "--eval-data needs --task change, found 'density'"),
     (["--stop-f1", "0.5"], {"stop_f1": 0.5}, "--stop-f1 needs --eval-data, found 0.5"),
-], ids=["batch-size", "epochs", "lr", "weight-decay", "eval-data", "stop-f1"])
+    (["--lr", "-1"], {"lr": -1}, "--lr must be at least 0, found -1.0"),
+    (["--weight-decay", "-5"], {"weight_decay": -5}, "--weight-decay must be at least 0, found -5.0"),
+    (["--stop-f1", "1.5"], {"stop_f1": 1.5}, "--stop-f1 must be in [0, 1], found 1.5"),
+    (["--stop-f1", "nan"], {"stop_f1": "nan"}, "--stop-f1 must be in [0, 1], found nan"),
+], ids=["batch-size", "epochs", "lr", "weight-decay", "eval-data", "stop-f1",
+        "negative-lr", "negative-weight-decay", "stop-f1-above-1", "stop-f1-nan"])
 def test_bad_train_flag_fails_alike_before_any_work(data, tmp_path, capsys, flags, config, error):
     argv = ["train", "--data", str(data), "--out", str(tmp_path / "ckpt"), "--channels", "4"]
     assert main(argv + flags) == 1
@@ -173,6 +180,52 @@ def test_bad_train_flag_fails_alike_before_any_work(data, tmp_path, capsys, flag
     assert main(argv + ["--config", str(path)]) == 1
     assert one_error_line(capsys).rstrip("\n").endswith(error)
     assert not (tmp_path / "ckpt").exists()
+
+
+def test_zero_lr_and_stop_f1_are_valid(data, tmp_path):
+    assert train(data, tmp_path, "--lr", "0", "--stop-f1", "0") == 0
+
+
+def test_config_can_give_the_required_flags(data, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"out": str(tmp_path / "from-file"), "count": 1, "size": 32}))
+    assert main(["gen-data", "--config", str(path)]) == 0
+    assert load_dataset(tmp_path / "from-file")[0]["count"] == 1
+    # an explicit flag still wins
+    assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "flag")]) == 0
+    assert (tmp_path / "flag" / "manifest.json").exists()
+    path.write_text(json.dumps({"data": str(data), "out": str(tmp_path / "ckpt"), "epochs": 0, "channels": 4}))
+    assert main(["train", "--config", str(path)]) == 0
+    assert (tmp_path / "ckpt" / "checkpoint.bin").exists()
+    # a required flag given in neither place, or as null, is the parser's error
+    for out in ({}, {"out": None}):
+        path.write_text(json.dumps({"data": str(data), **out}))
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", str(path)])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", ["no-target", "small-target"])
+def test_a_bad_dataset_entry_fails_train_and_eval_before_any_work(data, tmp_path, capsys, fault):
+    bad = tmp_path / "bad"
+    shutil.copytree(data, bad)
+    manifest = json.loads((bad / "manifest.json").read_text())
+    if fault == "no-target":
+        del manifest["samples"][1]["target"]
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+        error = f"{bad / 'manifest.json'}: sample 1 needs a file name at 'target', found None"
+    else:
+        save_cpt1(bad / manifest["samples"][1]["target"], np.zeros((16, 16), np.float32))
+        error = f"{bad / manifest['samples'][1]['target']}: shape (16, 16) != the manifest's size (32, 32)"
+    assert train(bad, tmp_path) == 1
+    assert one_error_line(capsys).rstrip("\n").endswith(error)
+    assert not (tmp_path / "ckpt").exists()
+    assert train(data, tmp_path) == 0
+    assert main(["eval", "--ckpt", str(tmp_path / "ckpt"), "--data", str(bad),
+                 "--out", str(tmp_path / "m.csv")]) == 1
+    assert one_error_line(capsys).rstrip("\n").endswith(error)
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_negative_count_fails_alike_before_any_work(tmp_path, capsys):

@@ -253,6 +253,11 @@ def test_erf_float32_has_scipys_bits():
     _assert_same_bits(got[~nan], want[~nan])
     _assert_same_bits(T._erf(x[~nan][-24:].reshape(6, 4).T), want[~nan][-24:].reshape(6, 4).T)
     assert T._erf(np.zeros(0, np.float32)).shape == (0,)
+    # chunks all past 1, none past 1 and partly past 1: each writes its own tail back
+    c = T.ERF_CHUNK
+    y = np.random.default_rng(2).standard_normal(3 * c + 5).astype(np.float32)
+    mixed = np.concatenate([np.copysign(1 + np.abs(y[:c]), y[:c]), np.clip(y[c : 2 * c], -1, 1), y[2 * c :] * 3])
+    _assert_same_bits(T._erf(mixed), oracles.erf(mixed))
 
 
 def test_erf_float64_is_within_2_ulp_of_scipys():
