@@ -130,10 +130,8 @@ class Mlp:
 
     def __call__(self, x: Tensor, b: int) -> Tensor:
         """x holds b samples' rows, one sample after another."""
-        h = T.layer_norm(x, self.ln_g.value, self.ln_b.value, b)
-        h = T.add_bias(T.matmul(h, self.w1.value, b), self.b1.value, b)
-        h = T.gelu(h)
-        return T.add_bias(T.matmul(h, self.w2.value, b), self.b2.value, b)
+        return T.mlp(x, self.ln_g.value, self.ln_b.value, self.w1.value, self.b1.value,
+                     self.w2.value, self.b2.value, b)
 
 
 class CompWeights:
@@ -159,7 +157,7 @@ class CompWeights:
         stack = T.concat_channels([grid, p1, p2])
         flat = T.reshape(stack, (s.length, 3 * c))
         flat = T.layer_norm(flat, self.ln_g.value, self.ln_b.value, s.b)
-        flat = T.add_bias(T.matmul(flat, self.proj.value, s.b), self.bias.value, s.b)
+        flat = T.linear(flat, self.proj.value, self.bias.value, s.b)
         d = self.proto_dim
         return T.slice_channels(flat, 0, d), T.slice_channels(flat, d, 2 * d)
 
@@ -234,9 +232,8 @@ class ProtoAttention(GatedAttention):
         mixtures: [b*L, D] -> [b*K, D]."""
         bank = T.concat_rows([self.prototypes.value] * b)
         q_fw = T.matmul(bank, self.w_q_fw.value, b)
-        sim = T.cosine_rows(q_fw, k_fw, b)  # [b*K, L]
-        att = T.softmax_rows(sim)  # normalize over tokens per prototype
-        agg = T.matmul(T.batch_matmul(att, v_fw, b), self.w_o_fw.value, b)
+        # softmax over each sample's tokens, per prototype
+        agg = T.matmul(T.cosine_attention(q_fw, k_fw, v_fw, b), self.w_o_fw.value, b)
         return self.ffn_fw(agg, b)
 
     def diffuse(self, p_tilde: Tensor, slot: Tensor, b: int = 1) -> Tensor:
@@ -244,10 +241,9 @@ class ProtoAttention(GatedAttention):
         updated prototypes: p_tilde [b*K, D], slot [b*L', C]."""
         q_bw = T.matmul(slot, self.w_q_bw.value, b)
         k_bw = T.matmul(p_tilde, self.w_k_bw.value, b)
-        sim = T.cosine_rows(q_bw, k_bw, b)  # [b*L', K]
-        att = T.softmax_rows(sim)  # normalize over prototypes per token
         v_bw = T.matmul(p_tilde, self.w_v_bw.value, b)
-        z = T.matmul(T.batch_matmul(att, v_bw, b), self.w_o_bw.value, b)
+        # softmax over each sample's prototypes, per slot token
+        z = T.matmul(T.cosine_attention(q_bw, k_bw, v_bw, b), self.w_o_bw.value, b)
         return self.gated_residual(slot, z, b)
 
     def forward(self, s: SourcePair, slot: Tensor) -> Tensor:

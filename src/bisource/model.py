@@ -119,7 +119,7 @@ class EncoderStage:
         hh, ww = h // self.merge_factor, w // self.merge_factor
         flat = T.reshape(grid, (b * hh * ww, grid.shape[-1]))
         flat = T.layer_norm(flat, self.merge_ln_g.value, self.merge_ln_b.value, b)
-        flat = T.add_bias(T.matmul(flat, self.merge_w.value, b), self.merge_b.value, b)
+        flat = T.linear(flat, self.merge_w.value, self.merge_b.value, b)
         flat = T.add(flat, self.attn(flat, b))
         flat = T.add(flat, self.ffn(flat, b))
         return flat, hh, ww
@@ -228,7 +228,7 @@ class BiSourceModel:
         fused = T.concat_channels([deepest.f1, deepest.f2])
         b = deepest.b
         fused = T.layer_norm(fused, self.fuse_ln_g.value, self.fuse_ln_b.value, b)
-        fused = T.add_bias(T.matmul(fused, self.fuse_w.value, b), self.fuse_b.value, b)
+        fused = T.linear(fused, self.fuse_w.value, self.fuse_b.value, b)
         x, xh, xw = fused, deepest.h, deepest.w
         for dab, level in zip(self.dabs, (2, 1, 0)):
             pair = pairs[level]
@@ -253,7 +253,8 @@ class BiSourceModel:
     def predict_scores(self, img1: np.ndarray, img2: np.ndarray) -> np.ndarray:
         out = self.forward(*self._checked_inputs(img1, img2)).data[0]
         if self.config.head == "binary":
-            return 1.0 / (1.0 + np.exp(-out[..., 0]))
+            with np.errstate(over="ignore"):  # exp(-z) is inf below about -88: score 0
+                return 1.0 / (1.0 + np.exp(-out[..., 0]))
         return out
 
     def _as_input(self, img: np.ndarray) -> Tensor:

@@ -12,12 +12,13 @@ and its output's gradient, as soon as the record has run.
 A batch of b samples is carried as rows, each sample's rows after the
 previous sample's, so elementwise and row-wise ops need no batch count.  The
 ops that take ``b`` work sample by sample: ``attention_rows``,
-``cosine_rows``, ``batch_matmul``, ``transpose``, ``slice_rows`` and
-``sum_all`` mix rows only within a sample; ``matmul`` makes one product per
-sample; and ``matmul``, ``add_bias``, ``layer_norm`` and ``scale_channels``
-add the samples' shares of a weight's gradient last sample first.  The grid
-ops take [H, W, C] or [B, H, W, C].  So a batched pass has, bit for bit, the
-outputs and gradients of b one-sample passes recorded one after another.
+``cosine_rows``, ``cosine_attention``, ``batch_matmul``, ``transpose``,
+``slice_rows`` and ``sum_all`` mix rows only within a sample; ``matmul``,
+``linear`` and ``mlp`` make one product per sample; and ``matmul``,
+``add_bias``, ``layer_norm`` and ``scale_channels`` add the samples' shares
+of a weight's gradient last sample first.  The grid ops take [H, W, C] or
+[B, H, W, C].  So a batched pass has, bit for bit, the outputs and gradients
+of b one-sample passes recorded one after another.
 
 Live-element accounting for peak-memory measurement is kept in a
 process-global ``alloc_stats``: a Tensor adds its size when created and
@@ -53,6 +54,21 @@ of the window's mean |x|; ``layer_norm`` takes its row moments as einsum dot
 products, within 8 float32 epsilons of the row's scale |gain| max|x| / sigma
 + |bias|.  Each gives a sample the bits it has alone.  Taped calls and float64
 calls keep the exact forms, bit for bit.
+
+``linear`` (matmul, add_bias), ``mlp`` (layer_norm, linear, gelu, linear) and
+``cosine_attention`` (cosine_rows, softmax_rows, batch_matmul) each run a
+whole chain of ops as one op that checks its output once.  With a Tape active
+each is its chain, with the chain's records, so training's bits and
+gradients are the chain's.  Without one, ``linear`` always takes its fused
+form, the bias added in place into the product; ``mlp`` takes its fused form
+in an inference call (``_inference``), the inference forms' numpy calls in
+the chain's order, and is the chain otherwise.  Both give the chain's bits,
+and a NaN or Inf anywhere in the chain is reported as the fused op's.
+Untaped ``cosine_attention``, in either dtype, takes exp of each sample's
+cosine scores, which lie in [-1, 1], with no shift, and divides their product
+with the values and a ones column by the row sums, one product per sample:
+within 4 epsilons of the sample's max|v| of a float64 oracle (measured 0.96
+in float32), not the chain's bits.
 """
 
 from __future__ import annotations
@@ -87,6 +103,7 @@ __all__ = [
     "mul",
     "absdiff",
     "add_bias",
+    "linear",
     "scale_channels",
     "mul_scalar",
     "relu",
@@ -94,7 +111,9 @@ __all__ = [
     "softmax_rows",
     "attention_rows",
     "cosine_rows",
+    "cosine_attention",
     "layer_norm",
+    "mlp",
     "avg_pool_2d",
     "bilinear_upsample_2x",
     "concat_rows",
@@ -485,6 +504,28 @@ def add_bias(x: Tensor, bias: Tensor, b: int = 1) -> Tensor:
     return _out(x.data + bias.data, fn)
 
 
+def linear(x: Tensor, w: Tensor, bias: Tensor, b: int = 1) -> Tensor:
+    """add_bias(matmul(x, w, b), bias, b): x [b*M, K] x w [K, N] + bias [N].
+
+    With a Tape active this is that chain, with its records.  Without one it
+    is the chain's numpy arithmetic, the bias added in place into the
+    product, and one output check: the chain's bits.
+    """
+    if _active_tape.get() is not None:
+        return add_bias(matmul(x, w, b), bias, b)
+    return _out(_linear(x.data, w.data, bias.data, b, "linear"), None)
+
+
+def _linear(x: np.ndarray, w: np.ndarray, bias: np.ndarray, b: int, op: str) -> np.ndarray:
+    """matmul's one product per sample, then add_bias's sum, in place."""
+    if (x.ndim != 2 or w.ndim != 2 or bias.ndim != 1 or x.shape[1] != w.shape[0]
+            or w.shape[1] != bias.shape[0] or b < 1 or x.shape[0] % b):
+        raise ShapeError(f"{op}: {x.shape} x {w.shape} + bias {bias.shape} in {b} samples")
+    y = np.matmul(x.reshape(b, -1, x.shape[1]), w).reshape(x.shape[0], w.shape[1])
+    y += bias
+    return y
+
+
 def scale_channels(x: Tensor, g_vec: Tensor, b: int = 1) -> Tensor:
     """x * g_vec with g_vec broadcast over all leading axes (per-channel gate),
     for b samples stacked in x's rows."""
@@ -640,9 +681,9 @@ _ERF_2Q = [np.float32(2 * b) for b in (
 
 
 def _inference(x: Tensor) -> bool:
-    """Whether a gelu, layer_norm or avg_pool_2d call on x takes its inference
-    form: float32 with no Tape active, so no gradient and no float64 replay
-    depends on its bits."""
+    """Whether a gelu, layer_norm, avg_pool_2d or mlp call on x takes its
+    inference form: float32 with no Tape active, so no gradient and no float64
+    replay depends on its bits."""
     return x.data.dtype == np.float32 and _active_tape.get() is None
 
 
@@ -890,6 +931,45 @@ def cosine_rows(q: Tensor, k: Tensor, b: int = 1) -> Tensor:
     return _out(out.reshape(q.shape[0], k3.shape[1]), fn)
 
 
+def cosine_attention(q: Tensor, k: Tensor, v: Tensor, b: int = 1) -> Tensor:
+    """batch_matmul(softmax_rows(cosine_rows(q, k, b)), v, b) for each of b
+    samples: q [b*M, d], k [b*N, d], v [b*N, dv] -> [b*M, dv].
+
+    With a Tape active this is that chain, with its records.  Without one,
+    q's and k's rows are normalised with cosine_rows' clamp, so each
+    sample's scores lie in [-1, 1] and their exp needs no shift; one product
+    of the exps with the sample's values and a ones column gives each row's
+    sum p v and sum p, and the output is their quotient.  A NaN or Inf in
+    q, k or v raises, and so does a sum p v that overflows: in float32, at
+    |v| past about 3.4e38 / (e N), where the chain's convex mix is still
+    finite.  The output is not the chain's bit for bit: it lies within 4
+    epsilons of the sample's max|v| of a float64 oracle (in float32,
+    measured 0.96 over 600 random shapes with b from 1 to 3; the chain's
+    1.00).
+    """
+    if _active_tape.get() is not None:
+        return batch_matmul(softmax_rows(cosine_rows(q, k, b)), v, b)
+    q3, k3, v3 = (_groups(x, b, "cosine_attention") for x in (q, k, v))
+    if q3.shape[2] != k3.shape[2] or k3.shape[1] != v3.shape[1]:
+        raise ShapeError(f"cosine_attention: q {q.shape}, k {k.shape}, v {v.shape}, b {b}")
+    dv = v.shape[1]
+    # each sample's values and a ones column: one product gives sum p v and sum p
+    va = np.empty((b, v3.shape[1], dv + 1), dtype=np.result_type(q.data, k.data, v.data))
+    va[:, :, :dv] = v3
+    va[:, :, dv] = 1
+    # a NaN or Inf is reported by _out, not as a warning: no probability is
+    # negative or past e, so a row sum that is not finite is a NaN, and so is
+    # the row's quotient
+    with np.errstate(over="ignore", invalid="ignore"):
+        qh = q.data / np.maximum(np.linalg.norm(q.data, axis=1, keepdims=True), NORM_EPS)
+        kh = k.data / np.maximum(np.linalg.norm(k.data, axis=1, keepdims=True), NORM_EPS)
+        p = np.matmul(qh.reshape(q3.shape), _t(kh.reshape(k3.shape)))
+        np.exp(p, out=p)
+        pv = np.matmul(p, va)
+        out = pv[:, :, :dv] / pv[:, :, dv:]
+    return _out(out.reshape(q.shape[0], dv), None)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, b: int = 1) -> Tensor:
     """Per-row zero mean / unit variance over the last axis, then affine, for
     b samples stacked in x's rows.
@@ -902,8 +982,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, b: int = 1) -> Tensor:
     2.0, as for the taped float32 form).
     """
     c = x.shape[-1]
-    if gain.shape != (c,) or bias.shape != (c,) or x.shape[0] % b:
-        raise ShapeError(f"layer_norm: gain/bias must be ({c},), rows {b} samples")
+    _check_norm(x, gain, bias, b, "layer_norm")
     if _inference(x):
         with np.errstate(invalid="ignore"):  # an Inf gives NaN, which _out reports
             return _out(_layer_norm_einsum(x.data, gain.data, bias.data), None)
@@ -942,6 +1021,34 @@ def _layer_norm_einsum(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.
     out *= gain
     out += bias
     return out
+
+
+def _check_norm(x: Tensor, gain: Tensor, bias: Tensor, b: int, op: str) -> None:
+    c = x.shape[-1]
+    if gain.shape != (c,) or bias.shape != (c,) or x.shape[0] % b:
+        raise ShapeError(f"{op}: gain/bias must be ({c},), rows {b} samples")
+
+
+def mlp(x: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+        b2: Tensor, b: int = 1) -> Tensor:
+    """linear(gelu(linear(layer_norm(x, ln_g, ln_b, b), w1, b1, b)), w2, b2, b)
+    for b samples stacked in x's rows.
+
+    An inference call (``_inference``: float32, no Tape) runs the inference
+    forms' numpy calls in the chain's order (``_layer_norm_einsum``, one
+    product per sample, ``_gelu_rational``, one product per sample) and
+    checks only its output: the chain's bits, with any NaN or Inf reported
+    as this op's.  Taped and float64 calls are the chain, with its records.
+    """
+    if not _inference(x):
+        h = linear(layer_norm(x, ln_g, ln_b, b), w1, b1, b)
+        return linear(gelu(h), w2, b2, b)
+    _check_norm(x, ln_g, ln_b, b, "mlp")
+    with np.errstate(invalid="ignore"):  # an Inf gives NaN, which _out reports
+        h = _layer_norm_einsum(x.data, ln_g.data, ln_b.data)
+        h = _gelu_rational(_linear(h, w1.data, b1.data, b, "mlp"))
+        h = _linear(h, w2.data, b2.data, b, "mlp")
+    return _out(h, None)
 
 
 def _box_sum(a: np.ndarray, window: int) -> np.ndarray:
@@ -1193,7 +1300,8 @@ def bce_with_logits(logits: Tensor, target: Tensor) -> Tensor:
     n = z.size
 
     def fn(g: np.ndarray) -> None:
-        sig = 1.0 / (1.0 + np.exp(-z))
+        with np.errstate(over="ignore"):  # exp(-z) is inf below about -88: sigmoid 0
+            sig = 1.0 / (1.0 + np.exp(-z))
         _accum(logits, (g.reshape(-1)[0] / n) * (sig - t))
 
     return _out(np.asarray([loss.mean()], dtype=z.dtype), fn)

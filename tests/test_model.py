@@ -25,7 +25,7 @@ from bisource.ada import INF_PROTOTYPES, AdaConfig, ParamRegistry, make_attentio
 from bisource.model import cosine_lr
 from bisource import data
 from bisource import tensor as T
-from bisource.tensor import NumericalError, Rng, ShapeError, Tape, alloc_stats
+from bisource.tensor import NumericalError, Rng, ShapeError, Tape, alloc_stats, backward
 from bisource.cli import _save_checkpoint, load_checkpoint
 from bisource.io import save_tensor_dir, load_tensor_dir
 
@@ -538,6 +538,33 @@ def test_nan_in_a_layer_norm_gain_names_the_op():
     gain.assign(bad)
     with pytest.raises(NumericalError, match="layer_norm"):
         m.predict(*rand_pair(Rng(5)))
+
+
+def test_nan_in_an_mlp_weight_is_reported_by_mlp():
+    m = BiSourceModel(small_config(), seed=0)
+    w1 = m.registry.named()["enc1.ffn.w1"]
+    bad = w1.value.data.copy()
+    bad[0, 0] = np.nan
+    w1.assign(bad)
+    with pytest.raises(NumericalError, match="^mlp: "):
+        m.predict(*rand_pair(Rng(5)))
+
+
+def test_sigmoid_of_a_large_negative_logit_is_zero_without_a_warning():
+    m = BiSourceModel(small_config(), seed=0)
+    b2 = m.registry.named()["head.b2"]
+    b2.assign(np.full(b2.value.shape, -120.0, dtype=np.float32))
+    logits = Tensor(np.float32([-100.0, 0.5, 100.0]))
+    target = Tensor(np.float32([1.0, 0.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores = m.predict_scores(*rand_pair(Rng(5)))
+        with Tape() as tape:
+            loss = T.bce_with_logits(logits, target)
+            backward(loss, tape)
+    assert scores.dtype == np.float32 and (scores == 0).all()
+    # d/dz of the mean loss is (sigmoid(z) - t) / n, and sigmoid(-100) is 0
+    np.testing.assert_allclose(logits.grad, np.float32([-1.0, 0.6224593, -0.0]) / 3, rtol=1e-6)
 
 
 # -- entry-point input checks -------------------------------------------------------

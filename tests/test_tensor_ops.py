@@ -412,6 +412,121 @@ def test_inference_forms_name_their_op_on_a_non_finite_input(bad):
                 assert f"shape {shape}" in str(info.value) and "float32" in str(info.value)
 
 
+# ---------------------------------------------------------------------------
+# fused ops: linear, mlp, cosine_attention
+# ---------------------------------------------------------------------------
+
+
+def _mlp_weights(rng: Rng, c: int, hidden: int, out: int, dtype) -> list[Tensor]:
+    """ln_g, ln_b, w1, b1, w2, b2 with the spread of trained weights."""
+    return [Tensor(rng.normal(shape, std=std, dtype=dtype) + mean)
+            for shape, std, mean in (((c,), 0.2, 1.0), ((c,), 0.2, 0.0), ((c, hidden), 0.3, 0.0),
+                                     ((hidden,), 0.2, 0.0), ((hidden, out), 0.3, 0.0), ((out,), 0.2, 0.0))]
+
+
+def _mlp_chain(x: Tensor, ws: list[Tensor], b: int) -> Tensor:
+    g, s, w1, b1, w2, b2 = ws
+    h = T.add_bias(T.matmul(T.layer_norm(x, g, s, b), w1, b), b1, b)
+    return T.add_bias(T.matmul(T.gelu(h), w2, b), b2, b)
+
+
+# rows per sample, input, hidden and output width; (4, 32) is a prototype
+# bank's Mlp at 64 px, (4, 128) the deepest stage's
+MLP_SHAPES = [(1, 1, 1, 1), (4, 32, 64, 32), (4, 128, 256, 128), (16, 16, 32, 16),
+              (64, 48, 16, 16), (256, 16, 16, 1), (1024, 16, 32, 16)]
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+@pytest.mark.parametrize("shape", MLP_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_untaped_mlp_and_linear_have_their_chains_bits(shape, b):
+    rows, c, hidden, out = shape
+    rng = Rng(rows + c + b)
+    x = Tensor(rng.normal((b * rows, c), dtype=np.float32) * 3)
+    ws = _mlp_weights(rng, c, hidden, out, np.float32)
+    _assert_same_bits(T.mlp(x, *ws, b).data, _mlp_chain(x, ws, b).data)
+    for dtype in (np.float32, F64):
+        xd, w, bias = (Tensor(t.data.astype(dtype)) for t in (x, ws[2], ws[3]))
+        _assert_same_bits(T.linear(xd, w, bias, b).data, T.add_bias(T.matmul(xd, w, b), bias, b).data)
+
+
+# (queries, keys, width, value width) per sample: a prototype bank against
+# tokens, tokens against a bank, and edge extents
+COSINE_SHAPES = [(1, 1, 1, 1), (4, 256, 16, 16), (256, 4, 16, 16), (4, 4096, 16, 16),
+                 (16, 64, 32, 32), (7, 300, 3, 5), (300, 7, 8, 3)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+@pytest.mark.parametrize("b", [1, 2, 3])
+@pytest.mark.parametrize("shape", COSINE_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_cosine_attention_is_within_4_epsilons_of_max_v_of_float64(shape, b, dtype):
+    m, n, d, dv = shape
+    rng = Rng(m * n + d + b)
+    q = rng.normal((b * m, d), dtype=dtype) * 5
+    k = rng.normal((b * n, d), dtype=dtype) * 0.01
+    v = rng.normal((b * n, dv), dtype=dtype) * rng.uniform((b * n, 1), 0.1, 10, dtype=dtype)
+    q[0] = 0.0  # zero-norm rows: the clamp leaves them at cosine 0
+    k[-1] = 0.0
+    q[-1] *= 1e-6  # a short row, normalised as it is
+    k[0] *= 1e-7  # a row below the clamp, shortened by it
+    got = T.cosine_attention(Tensor(q), Tensor(k), Tensor(v), b).data
+    assert got.dtype == dtype and got.shape == (b * m, dv)
+    eps = float(np.finfo(dtype).eps)
+    for i in range(b):
+        qi, ki, vi = (a.astype(F64).reshape(b, -1, a.shape[1])[i] for a in (q, k, v))
+        want = oracles.softmax(oracles.cosine(qi, ki), axis=1) @ vi
+        # measured at most 0.96 float32 epsilons of max|v| over 600 random shapes
+        assert np.abs(got[i * m : (i + 1) * m] - want).max() <= 4 * eps * np.abs(vi).max()
+
+
+def _fused_pairs(b: int, dtype):
+    """(fused op, its chain) on b samples of each fused op's operands."""
+    rng = Rng(b)
+    x = Tensor(rng.normal((b * 6, 5), dtype=dtype))
+    ws = _mlp_weights(rng, 5, 7, 3, dtype)
+    q, k, v = (Tensor(rng.normal((b * n, w), dtype=dtype)) for n, w in ((6, 4), (9, 4), (9, 3)))
+    return {
+        "linear": (lambda: T.linear(x, ws[2], ws[3], b),
+                   lambda: T.add_bias(T.matmul(x, ws[2], b), ws[3], b), [x, ws[2], ws[3]]),
+        "mlp": (lambda: T.mlp(x, *ws, b), lambda: _mlp_chain(x, ws, b), [x] + ws),
+        "cosine_attention": (lambda: T.cosine_attention(q, k, v, b),
+                             lambda: T.batch_matmul(T.softmax_rows(T.cosine_rows(q, k, b)), v, b),
+                             [q, k, v]),
+    }
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+@pytest.mark.parametrize("b", [1, 3])
+def test_fused_ops_under_a_tape_are_their_chains(b, dtype):
+    def run(fn, inputs):
+        with Tape() as tape:
+            out = fn()
+            records = len(tape._records)
+            backward(T.sum_all(T.mul(out, out)), tape)
+        grads = [t.grad for t in inputs]
+        for t in inputs:
+            t.grad = None
+        return out.data, records, grads
+
+    for name, (fused, chain, inputs) in _fused_pairs(b, dtype).items():
+        out, records, grads = run(fused, inputs)
+        want_out, want_records, want_grads = run(chain, inputs)
+        _assert_same_bits(out, want_out)
+        assert records == want_records, name
+        for g, w in zip(grads, want_grads):
+            _assert_same_bits(g, w)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_fused_ops_name_themselves_on_a_non_finite_input(bad):
+    for name, (fused, _, inputs) in _fused_pairs(2, np.float32).items():
+        for t in inputs:
+            saved = t.data.reshape(-1)[0]
+            t.data.reshape(-1)[0] = bad
+            with pytest.raises(NumericalError, match=f"^{name}: "):
+                fused()
+            t.data.reshape(-1)[0] = saved
+
+
 def test_valid_counts_are_cached_read_only():
     counts = T._valid_counts(4, 6, 3, np.float32)
     assert T._valid_counts(4, 6, 3, np.float32) is counts
@@ -577,6 +692,11 @@ def _op_builders(rng: Rng):
     bvec = p64(rng, (3,), "bvec")
     bgain = p64(rng, (4,), "bgain")
     bshift = p64(rng, (4,), "bshift")
+    # fused ops at b = 2, drawn last for the same reason
+    fx = p64(rng, (2 * 4, 5), "fx")
+    fg, fs = p64(rng, (5,), "fg"), p64(rng, (5,), "fs")
+    fw1, fb1 = p64(rng, (5, 6), "fw1"), p64(rng, (6,), "fb1")
+    fw2, fb2 = p64(rng, (6, 3), "fw2"), p64(rng, (3,), "fb2")
     return {
         "matmul": (lambda: T.matmul(a.value, b.value), [a, b]),
         "transpose": (lambda: T.transpose(a.value), [a]),
@@ -630,6 +750,13 @@ def _op_builders(rng: Rng):
         "scale_channels_b2": (lambda: T.scale_channels(bv.value, bvec.value, 2), [bv, bvec]),
         "layer_norm_b2": (lambda: T.layer_norm(bk.value, bgain.value, bshift.value, 2),
                           [bk, bgain, bshift]),
+        "cosine_attention": (lambda: T.cosine_attention(att_q.value, att_k.value, att_v.value),
+                             [att_q, att_k, att_v]),
+        "cosine_attention_b2": (lambda: T.cosine_attention(bq.value, bk.value, bv.value, 2),
+                                [bq, bk, bv]),
+        "linear_b2": (lambda: T.linear(fx.value, fw1.value, fb1.value, 2), [fx, fw1, fb1]),
+        "mlp_b2": (lambda: T.mlp(fx.value, fg.value, fs.value, fw1.value, fb1.value, fw2.value,
+                                 fb2.value, 2), [fx, fg, fs, fw1, fb1, fw2, fb2]),
     }
 
 
@@ -718,6 +845,9 @@ def _row_op_pairs(b: int, dtype):
     def alone(x: Tensor, i: int) -> Tensor:
         return Tensor(x.data.reshape((b, -1) + x.shape[1:])[i])
 
+    lin = [Tensor(w.data[:4]), Tensor(w.data[4])]
+    mlp_ws = [Tensor(k.data[0]), Tensor(k.data[1])] + lin + [Tensor(v.data[:7]), Tensor(v.data[7])]
+
     return {
         "attention_rows": (lambda: T.attention_rows(q, k, v, 0.3, b),
                            lambda i: T.attention_rows(alone(q, i), alone(k, i), alone(v, i), 0.3)),
@@ -730,6 +860,10 @@ def _row_op_pairs(b: int, dtype):
                    lambda i: T.matmul(alone(q, i), Tensor(w.data[:4]))),
         "slice_rows": (lambda: T.slice_rows(q, 2, 6, b), lambda i: T.slice_rows(alone(q, i), 2, 6)),
         "sum_all": (lambda: T.sum_all(q, b), lambda i: T.sum_all(alone(q, i))),
+        "linear": (lambda: T.linear(q, *lin, b), lambda i: T.linear(alone(q, i), *lin)),
+        "cosine_attention": (lambda: T.cosine_attention(q, k, v, b),
+                             lambda i: T.cosine_attention(alone(q, i), alone(k, i), alone(v, i))),
+        "mlp": (lambda: T.mlp(q, *mlp_ws, b), lambda i: T.mlp(alone(q, i), *mlp_ws)),
     }
 
 
