@@ -46,6 +46,15 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.head not in HEAD_KINDS:
             raise ValueError(f"head must be one of {HEAD_KINDS}")
+        for field in ("in_channels", "base_channels", "ffn_expansion"):
+            if not getattr(self, field) >= 1:
+                raise ValueError(f"{field} must be at least 1, found {getattr(self, field)!r}")
+        if self.head == "multiclass" and not self.n_classes >= 2:
+            raise ValueError(
+                f"n_classes must be at least 2 for a multiclass head, found {self.n_classes!r}")
+        weight = self.count_loss_weight
+        if not (math.isfinite(weight) and weight >= 0):
+            raise ValueError(f"count_loss_weight must be finite and at least 0, found {weight!r}")
         self.num_prototypes = prototype_count(self.num_prototypes)
         for a in self.ablate:
             if a not in ABLATIONS:
@@ -53,9 +62,9 @@ class ModelConfig:
         if self.attention_form not in ("ada", "std"):
             raise ValueError("attention_form must be 'ada' or 'std'")
         h, w = self.input_hw
-        if h % DIVISOR or w % DIVISOR:
+        if not (h >= DIVISOR and w >= DIVISOR) or h % DIVISOR or w % DIVISOR:
             raise ValueError(
-                f"input extents must be divisible by {DIVISOR}, got {h}x{w}"
+                f"input extents must be positive multiples of {DIVISOR}, got {h}x{w}"
             )
         self.ablate = tuple(self.ablate)
         self.input_hw = tuple(self.input_hw)

@@ -15,10 +15,10 @@ ops that take ``b`` work sample by sample: ``attention_rows``,
 ``cosine_rows``, ``cosine_attention``, ``batch_matmul``, ``transpose``,
 ``slice_rows`` and ``sum_all`` mix rows only within a sample; ``matmul``,
 ``linear`` and ``mlp`` make one product per sample; and ``matmul``,
-``add_bias``, ``layer_norm`` and ``scale_channels`` add the samples' shares
-of a weight's gradient last sample first.  The grid ops take [H, W, C] or
-[B, H, W, C].  So a batched pass has, bit for bit, the outputs and gradients
-of b one-sample passes recorded one after another.
+``linear``, ``layer_norm``, ``mlp`` and ``scale_channels`` add the
+samples' shares of a weight's gradient last sample first.  The grid ops take
+[H, W, C] or [B, H, W, C].  So a batched pass has, bit for bit, the outputs
+and gradients of b one-sample passes recorded one after another.
 
 Live-element accounting for peak-memory measurement is kept in a
 process-global ``alloc_stats``: a Tensor adds its size when created and
@@ -55,20 +55,25 @@ products, within 8 float32 epsilons of the row's scale |gain| max|x| / sigma
 + |bias|.  Each gives a sample the bits it has alone.  Taped calls and float64
 calls keep the exact forms, bit for bit.
 
-``linear`` (matmul, add_bias), ``mlp`` (layer_norm, linear, gelu, linear) and
-``cosine_attention`` (cosine_rows, softmax_rows, batch_matmul) each run a
-whole chain of ops as one op that checks its output once.  With a Tape active
-each is its chain, with the chain's records, so training's bits and
-gradients are the chain's.  Without one, ``linear`` always takes its fused
-form, the bias added in place into the product; ``mlp`` takes its fused form
-in an inference call (``_inference``), the inference forms' numpy calls in
-the chain's order, and is the chain otherwise.  Both give the chain's bits,
-and a NaN or Inf anywhere in the chain is reported as the fused op's.
+Each piece of math is written once, in a private kernel that takes arrays
+and the op's weight Tensors and returns ``(output, back)``: ``back(g)`` adds
+the gradients of the weight Tensors and returns the input's gradient
+(``_cosine``, whose operands are both Tensors, adds both and returns none).
+``_matmul``, ``_linear``, ``_layer_norm``, ``_gelu``, ``_softmax``,
+``_attend`` and ``_cosine`` are the kernels; a kernel with an inference form
+(``_inference``) returns no backward there.  A public op calls its kernel,
+and no public op calls another.  ``linear`` (matmul, bias), ``mlp``
+(layer_norm, linear, gelu, linear) and ``cosine_attention`` (cosine_rows,
+softmax, value product) run their kernels in a row and check their output
+once; under a Tape each makes one record, whose closure runs the kernels'
+backs in reverse, so its gradients have the bits of the chain of public ops
+recorded one after another.  ``linear`` and ``mlp`` have the chain's bits in
+every mode, and a NaN or Inf anywhere in them is reported as the fused op's.
 Untaped ``cosine_attention``, in either dtype, takes exp of each sample's
 cosine scores, which lie in [-1, 1], with no shift, and divides their product
 with the values and a ones column by the row sums, one product per sample:
 within 4 epsilons of the sample's max|v| of a float64 oracle (measured 0.96
-in float32), not the chain's bits.
+in float32), not the taped bits.
 """
 
 from __future__ import annotations
@@ -102,7 +107,6 @@ __all__ = [
     "sub",
     "mul",
     "absdiff",
-    "add_bias",
     "linear",
     "scale_channels",
     "mul_scalar",
@@ -410,20 +414,33 @@ def _accum_per_sample(t: Tensor, parts: np.ndarray) -> None:
         _accum(t, part)
 
 
+def _into(x: Tensor, back: Callable[[np.ndarray], np.ndarray] | None):
+    """The record of an op on x whose kernel returned ``back``: it adds the
+    input's gradient that ``back`` returns to x's.  None when ``back`` is."""
+    return None if back is None else lambda g: _accum(x, back(g))
+
+
+def _matmul(x: np.ndarray, w: Tensor, b: int, op: str):
+    """x [b*M, K] x w [K, N] for b samples stacked in x's rows, one product
+    per sample; back adds w's per-sample gradients."""
+    if x.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b < 1 or x.shape[0] % b:
+        raise ShapeError(f"{op}: incompatible shapes {x.shape} x {w.shape} in {b} samples")
+    x3 = x.reshape(b, -1, x.shape[1])
+
+    def back(g: np.ndarray) -> np.ndarray:
+        g3 = g.reshape(b, -1, g.shape[1])
+        _accum_per_sample(w, np.matmul(_t(x3), g3))
+        return np.matmul(g3, w.data.T).reshape(x.shape)
+
+    return np.matmul(x3, w.data).reshape(x.shape[0], w.shape[1]), back
+
+
 def matmul(a: Tensor, w: Tensor, b: int = 1) -> Tensor:
     """a [b*M, K] x w [K, N] for b samples stacked in a's rows: one product
     per sample, so each sample's rows, and its share of w's gradient, have
     the bits of the product on that sample alone (``_accum_per_sample``)."""
-    if a.data.ndim != 2 or w.data.ndim != 2 or a.shape[1] != w.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {w.shape}")
-    a3 = _groups(a, b, "matmul")
-
-    def fn(g: np.ndarray) -> None:
-        g3 = g.reshape(b, -1, g.shape[1])
-        _accum(a, np.matmul(g3, w.data.T).reshape(a.shape))
-        _accum_per_sample(w, np.matmul(_t(a3), g3))
-
-    return _out(np.matmul(a3, w.data).reshape(a.shape[0], w.shape[1]), fn)
+    y, back = _matmul(a.data, w, b, "matmul")
+    return _out(y, _into(a, back))
 
 
 def transpose(a: Tensor, b: int = 1) -> Tensor:
@@ -492,38 +509,26 @@ def absdiff(a: Tensor, b: Tensor) -> Tensor:
     return _out(np.abs(d), fn)
 
 
-def add_bias(x: Tensor, bias: Tensor, b: int = 1) -> Tensor:
-    """x + bias over the last axis, for b samples stacked in x's rows."""
-    if bias.data.ndim != 1 or x.shape[-1] != bias.shape[0] or x.shape[0] % b:
-        raise ShapeError(f"add_bias: {x.shape} + bias {bias.shape} in {b} samples")
+def _linear(x: np.ndarray, w: Tensor, bias: Tensor, b: int, op: str):
+    """``_matmul``, then the bias added in place into the product; back adds
+    the bias's per-sample gradients, then runs ``_matmul``'s back."""
+    y, back_w = _matmul(x, w, b, op)
+    if bias.data.ndim != 1 or bias.shape[0] != y.shape[1]:
+        raise ShapeError(f"{op}: {x.shape} x {w.shape} + bias {bias.shape}")
+    y += bias.data
 
-    def fn(g: np.ndarray) -> None:
-        _accum(x, g)
+    def back(g: np.ndarray) -> np.ndarray:
         _accum_per_sample(bias, g.reshape(b, -1, bias.shape[0]).sum(axis=1))
+        return back_w(g)
 
-    return _out(x.data + bias.data, fn)
+    return y, back
 
 
 def linear(x: Tensor, w: Tensor, bias: Tensor, b: int = 1) -> Tensor:
-    """add_bias(matmul(x, w, b), bias, b): x [b*M, K] x w [K, N] + bias [N].
-
-    With a Tape active this is that chain, with its records.  Without one it
-    is the chain's numpy arithmetic, the bias added in place into the
-    product, and one output check: the chain's bits.
-    """
-    if _active_tape.get() is not None:
-        return add_bias(matmul(x, w, b), bias, b)
-    return _out(_linear(x.data, w.data, bias.data, b, "linear"), None)
-
-
-def _linear(x: np.ndarray, w: np.ndarray, bias: np.ndarray, b: int, op: str) -> np.ndarray:
-    """matmul's one product per sample, then add_bias's sum, in place."""
-    if (x.ndim != 2 or w.ndim != 2 or bias.ndim != 1 or x.shape[1] != w.shape[0]
-            or w.shape[1] != bias.shape[0] or b < 1 or x.shape[0] % b):
-        raise ShapeError(f"{op}: {x.shape} x {w.shape} + bias {bias.shape} in {b} samples")
-    y = np.matmul(x.reshape(b, -1, x.shape[1]), w).reshape(x.shape[0], w.shape[1])
-    y += bias
-    return y
+    """x [b*M, K] x w [K, N] + bias [N] for b samples stacked in x's rows:
+    one product per sample, the bias added in place, and one record."""
+    y, back = _linear(x.data, w, bias, b, "linear")
+    return _out(y, _into(x, back))
 
 
 def scale_channels(x: Tensor, g_vec: Tensor, b: int = 1) -> Tensor:
@@ -680,11 +685,10 @@ _ERF_2Q = [np.float32(2 * b) for b in (
     -7.37332916720468e-03, -1.42647390514189e-02)]
 
 
-def _inference(x: Tensor) -> bool:
-    """Whether a gelu, layer_norm, avg_pool_2d or mlp call on x takes its
-    inference form: float32 with no Tape active, so no gradient and no float64
-    replay depends on its bits."""
-    return x.data.dtype == np.float32 and _active_tape.get() is None
+def _inference(x: np.ndarray) -> bool:
+    """Whether a kernel's call on x takes its inference form: float32 with no
+    Tape active, so no gradient and no float64 replay depends on its bits."""
+    return x.dtype == np.float32 and _active_tape.get() is None
 
 
 def _gelu_rational(x: np.ndarray) -> np.ndarray:
@@ -717,6 +721,25 @@ def _gelu_rational(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gelu(x: np.ndarray):
+    """gelu's kernel: erf from ``_erf``, or in an inference call from
+    ``_gelu_rational``, with no backward.  There -inf gives NaN, so callers
+    hold np.errstate(invalid="ignore") and let _out report it."""
+    if _inference(x):
+        return _gelu_rational(x), None
+    y = x * _INV_SQRT2  # erf's argument; the buffer then takes the output
+    cdf = _erf(y)
+    cdf += 1.0
+    cdf *= 0.5
+    np.multiply(x, cdf, out=y)
+
+    def back(g: np.ndarray) -> np.ndarray:
+        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
+        return (g * (cdf + x * pdf)).astype(x.dtype, copy=False)
+
+    return y, back
+
+
 def gelu(x: Tensor) -> Tensor:
     """x Phi(x), Phi the normal CDF.
 
@@ -728,35 +751,44 @@ def gelu(x: Tensor) -> Tensor:
     erf, so the output is within 2.5e-7 |x| of the float64 GELU (measured
     2.2e-7 |x|).
     """
-    if _inference(x):
-        with np.errstate(invalid="ignore"):  # -inf gives NaN, which _out reports
-            return _out(_gelu_rational(x.data), None)
-    y = x.data * _INV_SQRT2  # erf's argument; the buffer then takes the output
-    cdf = _erf(y)
-    cdf += 1.0
-    cdf *= 0.5
-    np.multiply(x.data, cdf, out=y)
+    with np.errstate(invalid="ignore"):  # -inf gives NaN, which _out reports
+        y, back = _gelu(x.data)
+    return _out(y, _into(x, back))
 
-    def fn(g: np.ndarray) -> None:
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        _accum(x, (g * (cdf + x.data * pdf)).astype(x.data.dtype, copy=False))
 
-    return _out(y, fn)
+def _softmax(x: np.ndarray):
+    """Softmax over x's last axis, max-subtracted for stability; back returns
+    x's gradient."""
+    z = x - x.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+
+    def back(g: np.ndarray) -> np.ndarray:
+        return z * (g - (g * z).sum(axis=-1, keepdims=True))
+
+    return z, back
 
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax over the last axis, max-subtracted for stability."""
     if x.data.ndim != 2:
         raise ShapeError("softmax_rows: rank-2 only")
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
+    z, back = _softmax(x.data)
+    return _out(z, _into(x, back))
 
-    def fn(g: np.ndarray) -> None:
-        dot = (g * z).sum(axis=1, keepdims=True)
-        _accum(x, z * (g - dot))
 
-    return _out(z, fn)
+def _attend(s: np.ndarray, v: Tensor, v3: np.ndarray):
+    """``_softmax`` of scores s [b, M, N] times each sample's values v3
+    [b, N, dv] (v's data); back adds v's gradient and returns s's."""
+    p, back_p = _softmax(s)
+    out = np.matmul(p, v3)
+
+    def back(g: np.ndarray) -> np.ndarray:
+        g3 = g.reshape(out.shape)
+        _accum(v, np.matmul(_t(p), g3).reshape(v.shape))
+        return back_p(np.matmul(g3, _t(v3)))
+
+    return out, back
 
 
 def attention_rows(q: Tensor, k: Tensor, v: Tensor, scale: float, b: int = 1) -> Tensor:
@@ -789,9 +821,18 @@ def attention_rows(q: Tensor, k: Tensor, v: Tensor, scale: float, b: int = 1) ->
             or b < 1 or q.shape[0] % b or k.shape[0] % b):
         raise ShapeError(f"attention_rows: q {q.shape}, k {k.shape}, v {v.shape}, b {b}")
     q3, k3, v3 = (x.data.reshape(b, -1, x.shape[1]) for x in (q, k, v))
+    scale = float(scale)
     if _active_tape.get() is not None:
-        return _attention_taped(q, k, v, q3, k3, v3, float(scale))
-    qs = q.data * float(scale)
+        kt = _t(k3).copy()  # the chain's transpose is a contiguous copy
+        out, back = _attend(np.matmul(q3, kt) * scale, v, v3)
+
+        def fn(g: np.ndarray) -> None:
+            gs = back(g) * scale
+            _accum(q, np.matmul(gs, _t(kt)).reshape(q.shape))
+            _accum(k, _transposed_groups(np.matmul(_t(q3), gs)))
+
+        return _out(out.reshape(q.shape[0], v.shape[1]), fn)
+    qs = q.data * scale
     kt = _t(k3)
     dtype = np.result_type(qs, kt, v.data)
     m, n, dv = q3.shape[1], k3.shape[1], v.shape[1]
@@ -879,95 +920,109 @@ def _attention_blocks(qs: np.ndarray, kt: np.ndarray, va: np.ndarray, shift: lis
             np.divide(o[:, :dv], total, out=out[start : start + rows.shape[0]])
 
 
-def _attention_taped(q: Tensor, k: Tensor, v: Tensor, q3: np.ndarray, k3: np.ndarray,
-                     v3: np.ndarray, scale: float) -> Tensor:
-    """attention_rows under a Tape: the five-op chain's arithmetic in one record."""
-    kt = _t(k3).copy()  # the chain's transpose is a contiguous copy
-    z = np.matmul(q3, kt) * scale
-    z -= z.max(axis=-1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
-    out = np.matmul(z, v3)
-
-    def fn(g: np.ndarray) -> None:
-        g3 = g.reshape(out.shape)
-        gz = np.matmul(g3, _t(v3))
-        _accum(v, np.matmul(_t(z), g3).reshape(v.shape))
-        gs = z * (gz - (gz * z).sum(axis=-1, keepdims=True)) * scale
-        _accum(q, np.matmul(gs, _t(kt)).reshape(q.shape))
-        _accum(k, _transposed_groups(np.matmul(_t(q3), gs)))
-
-    return _out(out.reshape(q.shape[0], v.shape[1]), fn)
-
-
-def cosine_rows(q: Tensor, k: Tensor, b: int = 1) -> Tensor:
-    """Pairwise cosine similarity of q rows against k rows, norms clamped
-    below, for each of b samples: q [b*M, d], k [b*N, d] -> [b*M, N]."""
-    q3, k3 = _groups(q, b, "cosine_rows"), _groups(k, b, "cosine_rows")
+def _cosine(q: Tensor, k: Tensor, b: int, op: str):
+    """Cosine similarity [b, M, N] of q's rows against k's for each of b
+    samples, norms clamped below at NORM_EPS; back adds q's and k's
+    gradients itself and returns nothing."""
+    q3, k3 = _groups(q, b, op), _groups(k, b, op)
     if q.shape[1] != k.shape[1]:
-        raise ShapeError(f"cosine_rows: {q.shape} vs {k.shape}")
-    nq = np.linalg.norm(q.data, axis=1, keepdims=True)
-    nk = np.linalg.norm(k.data, axis=1, keepdims=True)
-    mq = nq > NORM_EPS
-    mk = nk > NORM_EPS
-    nq = np.maximum(nq, NORM_EPS)
-    nk = np.maximum(nk, NORM_EPS)
+        raise ShapeError(f"{op}: {q.shape} vs {k.shape}")
+    nq = np.maximum(np.linalg.norm(q.data, axis=1, keepdims=True), NORM_EPS)
+    nk = np.maximum(np.linalg.norm(k.data, axis=1, keepdims=True), NORM_EPS)
     qh = (q.data / nq).reshape(q3.shape)
     kh = (k.data / nk).reshape(k3.shape)
     out = np.matmul(qh, _t(kh))
 
-    def fn(g: np.ndarray) -> None:
+    def back(g: np.ndarray) -> None:
         # d out[i,j]/d q_i = (kh_j - out[i,j] * qh_i) / nq_i; the projection
         # term vanishes where the clamp is active (denominator constant there)
         g3 = g.reshape(out.shape)
         go = g3 * out
         row_dot = go.sum(axis=2, keepdims=True)
         col_dot = go.sum(axis=1)[:, :, None]
-        gq = np.matmul(g3, kh) - mq.reshape(row_dot.shape) * row_dot * qh
-        gk = np.matmul(_t(g3), qh) - mk.reshape(kh.shape[:2] + (1,)) * col_dot * kh
+        gq = np.matmul(g3, kh) - (nq > NORM_EPS).reshape(row_dot.shape) * row_dot * qh
+        gk = np.matmul(_t(g3), qh) - (nk > NORM_EPS).reshape(col_dot.shape) * col_dot * kh
         _accum(q, gq.reshape(q.shape) / nq)
         _accum(k, gk.reshape(k.shape) / nk)
 
-    return _out(out.reshape(q.shape[0], k3.shape[1]), fn)
+    return out, back
+
+
+def cosine_rows(q: Tensor, k: Tensor, b: int = 1) -> Tensor:
+    """Pairwise cosine similarity of q rows against k rows, norms clamped
+    below, for each of b samples: q [b*M, d], k [b*N, d] -> [b*M, N]."""
+    out, back = _cosine(q, k, b, "cosine_rows")
+    return _out(out.reshape(q.shape[0], out.shape[2]), back)
 
 
 def cosine_attention(q: Tensor, k: Tensor, v: Tensor, b: int = 1) -> Tensor:
     """batch_matmul(softmax_rows(cosine_rows(q, k, b)), v, b) for each of b
     samples: q [b*M, d], k [b*N, d], v [b*N, dv] -> [b*M, dv].
 
-    With a Tape active this is that chain, with its records.  Without one,
-    q's and k's rows are normalised with cosine_rows' clamp, so each
-    sample's scores lie in [-1, 1] and their exp needs no shift; one product
-    of the exps with the sample's values and a ones column gives each row's
-    sum p v and sum p, and the output is their quotient.  A NaN or Inf in
-    q, k or v raises, and so does a sum p v that overflows: in float32, at
-    |v| past about 3.4e38 / (e N), where the chain's convex mix is still
-    finite.  The output is not the chain's bit for bit: it lies within 4
-    epsilons of the sample's max|v| of a float64 oracle (in float32,
-    measured 0.96 over 600 random shapes with b from 1 to 3; the chain's
-    1.00).
+    With a Tape active this is one record with the chain's bits: the value
+    product's, the softmax's and the cosine's backward in the chain's order.
+    Without one, q's and k's rows are normalised with cosine_rows' clamp, so
+    each sample's scores lie in [-1, 1] and their exp needs no shift; one
+    product of the exps with the sample's values and a ones column gives
+    each row's sum p v and sum p, and the output is their quotient.  Only in
+    a sample where that quotient is not finite, as when sum p v overflows,
+    are the probabilities first divided by their row sums and the product
+    taken again; a NaN or Inf in q, k or v still raises.  The output is not
+    the chain's bit for bit: it lies within 4 epsilons of the sample's
+    max|v| of a float64 oracle (in float32, measured 0.96 over 600 random
+    shapes with b from 1 to 3; the chain's 1.00).
     """
-    if _active_tape.get() is not None:
-        return batch_matmul(softmax_rows(cosine_rows(q, k, b)), v, b)
-    q3, k3, v3 = (_groups(x, b, "cosine_attention") for x in (q, k, v))
-    if q3.shape[2] != k3.shape[2] or k3.shape[1] != v3.shape[1]:
+    v3 = _groups(v, b, "cosine_attention")
+    if k.shape[0] != v.shape[0]:
         raise ShapeError(f"cosine_attention: q {q.shape}, k {k.shape}, v {v.shape}, b {b}")
     dv = v.shape[1]
-    # each sample's values and a ones column: one product gives sum p v and sum p
-    va = np.empty((b, v3.shape[1], dv + 1), dtype=np.result_type(q.data, k.data, v.data))
-    va[:, :, :dv] = v3
-    va[:, :, dv] = 1
-    # a NaN or Inf is reported by _out, not as a warning: no probability is
-    # negative or past e, so a row sum that is not finite is a NaN, and so is
-    # the row's quotient
+    # a NaN or Inf is reported by _out, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        qh = q.data / np.maximum(np.linalg.norm(q.data, axis=1, keepdims=True), NORM_EPS)
-        kh = k.data / np.maximum(np.linalg.norm(k.data, axis=1, keepdims=True), NORM_EPS)
-        p = np.matmul(qh.reshape(q3.shape), _t(kh.reshape(k3.shape)))
-        np.exp(p, out=p)
-        pv = np.matmul(p, va)
+        s, back_s = _cosine(q, k, b, "cosine_attention")
+        if _active_tape.get() is not None:
+            out, back = _attend(s, v, v3)
+            return _out(out.reshape(q.shape[0], dv), lambda g: back_s(back(g)))
+        # each sample's values and a ones column: one product gives sum p v and sum p
+        va = np.empty(v3.shape[:2] + (dv + 1,), dtype=np.result_type(q.data, k.data, v.data))
+        va[:, :, :dv] = v3
+        va[:, :, dv] = 1
+        np.exp(s, out=s)
+        pv = np.matmul(s, va)
         out = pv[:, :, :dv] / pv[:, :, dv:]
+        if not all_finite(out):  # sum p v overflowed, or an input is not finite
+            redo = ~np.isfinite(out).all(axis=(1, 2))  # samples alone, for their bits
+            s[redo] /= pv[redo, :, dv:]
+            out[redo] = np.matmul(s[redo], v3[redo])
     return _out(out.reshape(q.shape[0], dv), None)
+
+
+def _layer_norm(x: np.ndarray, gain: Tensor, bias: Tensor, b: int, op: str):
+    """layer_norm's kernel, in an inference call ``_layer_norm_einsum`` with
+    no backward; back adds gain's and bias's per-sample gradients.  An Inf
+    gives NaN, so callers hold np.errstate(invalid="ignore") and let _out
+    report it."""
+    c = x.shape[-1]
+    if gain.shape != (c,) or bias.shape != (c,) or x.shape[0] % b:
+        raise ShapeError(f"{op}: gain/bias must be ({c},), rows {b} samples")
+    if _inference(x):
+        return _layer_norm_einsum(x, gain.data, bias.data), None
+    # the steps of np.mean and np.var, sharing the centred values: same bits
+    d = x - np.add.reduce(x, axis=-1, keepdims=True) / c
+    var = np.add.reduce(d * d, axis=-1, keepdims=True) / c
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = d * inv
+
+    def back(g: np.ndarray) -> np.ndarray:
+        per_g = g.reshape(b, -1, c)
+        per_x = xhat.reshape(b, -1, c)
+        _accum_per_sample(gain, (per_g * per_x).sum(axis=1))
+        _accum_per_sample(bias, per_g.sum(axis=1))
+        gx = g * gain.data
+        m1 = gx.mean(axis=-1, keepdims=True)
+        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+        return ((gx - m1 - xhat * m2) * inv).astype(x.dtype, copy=False)
+
+    return (xhat * gain.data + bias.data).astype(x.dtype, copy=False), back
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, b: int = 1) -> Tensor:
@@ -981,28 +1036,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, b: int = 1) -> Tensor:
     relative to each row's scale |gain| max|x| / sigma + |bias| (measured
     2.0, as for the taped float32 form).
     """
-    c = x.shape[-1]
-    _check_norm(x, gain, bias, b, "layer_norm")
-    if _inference(x):
-        with np.errstate(invalid="ignore"):  # an Inf gives NaN, which _out reports
-            return _out(_layer_norm_einsum(x.data, gain.data, bias.data), None)
-    # the steps of np.mean and np.var, sharing the centred values: same bits
-    d = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / c
-    var = np.add.reduce(d * d, axis=-1, keepdims=True) / c
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = d * inv
-
-    def fn(g: np.ndarray) -> None:
-        per_g = g.reshape(b, -1, c)
-        per_x = xhat.reshape(b, -1, c)
-        _accum_per_sample(gain, (per_g * per_x).sum(axis=1))
-        _accum_per_sample(bias, per_g.sum(axis=1))
-        gx = g * gain.data
-        m1 = gx.mean(axis=-1, keepdims=True)
-        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, ((gx - m1 - xhat * m2) * inv).astype(x.data.dtype, copy=False))
-
-    return _out((xhat * gain.data + bias.data).astype(x.data.dtype, copy=False), fn)
+    with np.errstate(invalid="ignore"):  # an Inf gives NaN, which _out reports
+        y, back = _layer_norm(x.data, gain, bias, b, "layer_norm")
+    return _out(y, _into(x, back))
 
 
 def _layer_norm_einsum(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -1023,32 +1059,22 @@ def _layer_norm_einsum(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.
     return out
 
 
-def _check_norm(x: Tensor, gain: Tensor, bias: Tensor, b: int, op: str) -> None:
-    c = x.shape[-1]
-    if gain.shape != (c,) or bias.shape != (c,) or x.shape[0] % b:
-        raise ShapeError(f"{op}: gain/bias must be ({c},), rows {b} samples")
-
-
 def mlp(x: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
         b2: Tensor, b: int = 1) -> Tensor:
     """linear(gelu(linear(layer_norm(x, ln_g, ln_b, b), w1, b1, b)), w2, b2, b)
     for b samples stacked in x's rows.
 
-    An inference call (``_inference``: float32, no Tape) runs the inference
-    forms' numpy calls in the chain's order (``_layer_norm_einsum``, one
-    product per sample, ``_gelu_rational``, one product per sample) and
-    checks only its output: the chain's bits, with any NaN or Inf reported
-    as this op's.  Taped and float64 calls are the chain, with its records.
+    Runs the kernels of that chain, each in the form its op would take
+    (``_inference``), and checks only its output: the chain's bits, with
+    any NaN or Inf reported as this op's.  Under a Tape it is one record,
+    whose closure runs the kernels' backs last first.
     """
-    if not _inference(x):
-        h = linear(layer_norm(x, ln_g, ln_b, b), w1, b1, b)
-        return linear(gelu(h), w2, b2, b)
-    _check_norm(x, ln_g, ln_b, b, "mlp")
     with np.errstate(invalid="ignore"):  # an Inf gives NaN, which _out reports
-        h = _layer_norm_einsum(x.data, ln_g.data, ln_b.data)
-        h = _gelu_rational(_linear(h, w1.data, b1.data, b, "mlp"))
-        h = _linear(h, w2.data, b2.data, b, "mlp")
-    return _out(h, None)
+        h, back_ln = _layer_norm(x.data, ln_g, ln_b, b, "mlp")
+        h, back_1 = _linear(h, w1, b1, b, "mlp")
+        h, back_gelu = _gelu(h)
+        y, back_2 = _linear(h, w2, b2, b, "mlp")
+    return _out(y, _into(x, lambda g: back_ln(back_1(back_gelu(back_2(g))))))
 
 
 def _box_sum(a: np.ndarray, window: int) -> np.ndarray:
@@ -1122,7 +1148,7 @@ def avg_pool_2d(x: Tensor, window: int) -> Tensor:
         return _out(x.data.copy(), fn_id)
     h, w = x.shape[-3:-1]
     counts = _valid_counts(h, w, window, x.data.dtype)[:, :, None]
-    if _inference(x):
+    if _inference(x.data):
         with np.errstate(over="ignore", invalid="ignore"):  # a NaN or Inf is reported by _out
             sums = _box_sum_shifted(x.data, window)
         sums /= counts

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package, its tests or perfbench imports a
-name it never uses, and every public function of the tensor module is exported."""
+name it never uses, every public function of the tensor module is exported,
+and no public tensor op calls another."""
 
 import ast
 import inspect
@@ -74,3 +75,23 @@ def test_every_public_function_of_the_tensor_module_is_in_its_all():
         if inspect.isfunction(obj) and obj.__module__ == T.__name__ and not name.startswith("_")
     }
     assert public - set(T.__all__) == TENSOR_HELPERS
+
+
+def test_no_public_tensor_op_calls_another():
+    # each piece of math lives in one private kernel that an op and the fused
+    # ops share; an op that called another would run, check and record twice
+    tree = ast.parse(Path(T.__file__).read_text())
+    calls = {
+        node.name: {c.func.id for c in ast.walk(node)
+                    if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+        for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    ops = set(T.__all__) & set(calls)
+    for op in sorted(ops):
+        reached, todo = set(), [op]
+        while todo:  # through the module's private functions
+            for name in calls.get(todo.pop(), set()) - reached:
+                reached.add(name)
+                if name.startswith("_"):
+                    todo.append(name)
+        assert reached & ops <= {op}, f"{op} calls {sorted(reached & ops - {op})}"

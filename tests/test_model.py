@@ -550,6 +550,18 @@ def test_nan_in_an_mlp_weight_is_reported_by_mlp():
         m.predict(*rand_pair(Rng(5)))
 
 
+def test_nan_in_an_mlp_weight_during_training_is_reported_by_mlp_and_the_step():
+    m = BiSourceModel(small_config(), seed=0)
+    opt = AdamW(m.parameters(), lr=1e-3)
+    train_step(m, _batch(Rng(48), 2), opt)
+    w1 = m.registry.named()["enc1.ffn.w1"]
+    bad = w1.value.data.copy()
+    bad[0, 0] = np.nan
+    w1.assign(bad)
+    with pytest.raises(NumericalError, match=r"^non-finite loss during train step 2: mlp: "):
+        train_step(m, _batch(Rng(49), 2), opt)
+
+
 def test_sigmoid_of_a_large_negative_logit_is_zero_without_a_warning():
     m = BiSourceModel(small_config(), seed=0)
     b2 = m.registry.named()["head.b2"]

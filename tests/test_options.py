@@ -274,3 +274,46 @@ def test_checkpoint_with_a_nan_names_the_file_and_the_tensor(data, tmp_path, cap
     assert main(["eval", "--ckpt", str(tmp_path / "bad"), "--data", str(data),
                  "--out", str(tmp_path / "m.csv")]) == 1
     assert one_error_line(capsys).rstrip("\n").endswith(str(exc.value))
+
+
+@pytest.mark.parametrize("field,value,error", [
+    ("base_channels", 0, "base_channels must be at least 1, found 0"),
+    ("base_channels", -2, "base_channels must be at least 1, found -2"),
+    ("in_channels", 0, "in_channels must be at least 1, found 0"),
+    ("ffn_expansion", 0, "ffn_expansion must be at least 1, found 0"),
+    ("count_loss_weight", float("nan"), "count_loss_weight must be finite and at least 0, found nan"),
+    ("count_loss_weight", float("inf"), "count_loss_weight must be finite and at least 0, found inf"),
+    ("count_loss_weight", -0.5, "count_loss_weight must be finite and at least 0, found -0.5"),
+    ("input_hw", (0, 0), "input extents must be positive multiples of 32, got 0x0"),
+    ("input_hw", (-32, 64), "input extents must be positive multiples of 32, got -32x64"),
+], ids=["channels-0", "channels-negative", "in-channels", "ffn-expansion", "count-weight-nan",
+        "count-weight-inf", "count-weight-negative", "extents-0", "extents-negative"])
+def test_model_config_rejects_a_value_that_builds_a_broken_model(tmp_path, field, value, error):
+    with pytest.raises(ValueError) as exc:
+        ModelConfig(**{field: value})
+    assert str(exc.value) == error
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(header_with(tmp_path, **{field: value}))
+    assert str(exc.value).endswith(error)
+
+
+def test_a_multiclass_head_needs_two_classes():
+    error = "n_classes must be at least 2 for a multiclass head, found 1"
+    with pytest.raises(ValueError) as exc:
+        ModelConfig(head="multiclass", n_classes=1)
+    assert str(exc.value) == error
+    assert ModelConfig(head="multiclass", n_classes=2).n_classes == 2
+    assert ModelConfig(head="binary", n_classes=1).n_classes == 1  # unused by the binary head
+
+
+@pytest.mark.parametrize("channels", [0, -2])
+def test_bad_channels_fail_alike_before_any_work(data, tmp_path, capsys, channels):
+    error = f"base_channels must be at least 1, found {channels}"
+    argv = ["train", "--data", str(data), "--out", str(tmp_path / "ckpt"), "--epochs", "0"]
+    assert main(argv + ["--channels", str(channels)]) == 1
+    assert one_error_line(capsys).rstrip("\n").endswith(error)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"channels": channels}))
+    assert main(argv + ["--config", str(path)]) == 1
+    assert one_error_line(capsys).rstrip("\n").endswith(error)
+    assert not (tmp_path / "ckpt").exists()

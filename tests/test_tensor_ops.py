@@ -424,10 +424,26 @@ def _mlp_weights(rng: Rng, c: int, hidden: int, out: int, dtype) -> list[Tensor]
                                      ((hidden,), 0.2, 0.0), ((hidden, out), 0.3, 0.0), ((out,), 0.2, 0.0))]
 
 
+def _add_bias(x: Tensor, bias: Tensor, b: int = 1) -> Tensor:
+    """x + bias over the last axis, as a public op of its own: one record that
+    passes the gradient to x and adds the bias's per-sample sums, last sample
+    first.  The reference chain of ``linear``, which has no such op."""
+    def fn(g):
+        T._accum(x, g)
+        for part in g.reshape(b, -1, bias.shape[0]).sum(axis=1)[::-1]:
+            T._accum(bias, part)
+
+    return T._out(x.data + bias.data, fn)
+
+
+def _linear_chain(x: Tensor, w: Tensor, bias: Tensor, b: int) -> Tensor:
+    return _add_bias(T.matmul(x, w, b), bias, b)
+
+
 def _mlp_chain(x: Tensor, ws: list[Tensor], b: int) -> Tensor:
     g, s, w1, b1, w2, b2 = ws
-    h = T.add_bias(T.matmul(T.layer_norm(x, g, s, b), w1, b), b1, b)
-    return T.add_bias(T.matmul(T.gelu(h), w2, b), b2, b)
+    h = _linear_chain(T.layer_norm(x, g, s, b), w1, b1, b)
+    return _linear_chain(T.gelu(h), w2, b2, b)
 
 
 # rows per sample, input, hidden and output width; (4, 32) is a prototype
@@ -443,10 +459,10 @@ def test_untaped_mlp_and_linear_have_their_chains_bits(shape, b):
     rng = Rng(rows + c + b)
     x = Tensor(rng.normal((b * rows, c), dtype=np.float32) * 3)
     ws = _mlp_weights(rng, c, hidden, out, np.float32)
-    _assert_same_bits(T.mlp(x, *ws, b).data, _mlp_chain(x, ws, b).data)
     for dtype in (np.float32, F64):
-        xd, w, bias = (Tensor(t.data.astype(dtype)) for t in (x, ws[2], ws[3]))
-        _assert_same_bits(T.linear(xd, w, bias, b).data, T.add_bias(T.matmul(xd, w, b), bias, b).data)
+        xd, *wd = (Tensor(t.data.astype(dtype)) for t in [x] + ws)
+        _assert_same_bits(T.mlp(xd, *wd, b).data, _mlp_chain(xd, wd, b).data)
+        _assert_same_bits(T.linear(xd, wd[2], wd[3], b).data, _linear_chain(xd, wd[2], wd[3], b).data)
 
 
 # (queries, keys, width, value width) per sample: a prototype bank against
@@ -486,7 +502,7 @@ def _fused_pairs(b: int, dtype):
     q, k, v = (Tensor(rng.normal((b * n, w), dtype=dtype)) for n, w in ((6, 4), (9, 4), (9, 3)))
     return {
         "linear": (lambda: T.linear(x, ws[2], ws[3], b),
-                   lambda: T.add_bias(T.matmul(x, ws[2], b), ws[3], b), [x, ws[2], ws[3]]),
+                   lambda: _linear_chain(x, ws[2], ws[3], b), [x, ws[2], ws[3]]),
         "mlp": (lambda: T.mlp(x, *ws, b), lambda: _mlp_chain(x, ws, b), [x] + ws),
         "cosine_attention": (lambda: T.cosine_attention(q, k, v, b),
                              lambda: T.batch_matmul(T.softmax_rows(T.cosine_rows(q, k, b)), v, b),
@@ -511,20 +527,42 @@ def test_fused_ops_under_a_tape_are_their_chains(b, dtype):
         out, records, grads = run(fused, inputs)
         want_out, want_records, want_grads = run(chain, inputs)
         _assert_same_bits(out, want_out)
-        assert records == want_records, name
+        assert (records, want_records) == (1, {"linear": 2, "mlp": 6, "cosine_attention": 3}[name])
         for g, w in zip(grads, want_grads):
             _assert_same_bits(g, w)
 
 
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-def test_fused_ops_name_themselves_on_a_non_finite_input(bad):
+def test_fused_ops_name_themselves_on_a_non_finite_input(bad, taped):
     for name, (fused, _, inputs) in _fused_pairs(2, np.float32).items():
         for t in inputs:
             saved = t.data.reshape(-1)[0]
             t.data.reshape(-1)[0] = bad
-            with pytest.raises(NumericalError, match=f"^{name}: "):
-                fused()
+            with Tape() if taped else contextlib.nullcontext():
+                with pytest.raises(NumericalError, match=f"^{name}: "):
+                    fused()
             t.data.reshape(-1)[0] = saved
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+def test_cosine_attention_is_finite_where_its_weighted_sum_of_values_overflows(taped):
+    # in sample 0 every cosine is 1, so each of the 4 probabilities is 1/4 and
+    # the output is 1e38; the untaped sum of exp(1) v over its keys, 1.1e39,
+    # is not finite.  Sample 1 is ordinary.
+    rng = Rng(7)
+    q = np.concatenate([np.ones((1, 3), np.float32), rng.normal((1, 3))])
+    k = np.concatenate([np.ones((4, 3), np.float32), rng.normal((4, 3))])
+    v = np.concatenate([np.full((4, 2), 1e38, np.float32), rng.normal((4, 2))])
+    with Tape() if taped else contextlib.nullcontext():
+        out = T.cosine_attention(Tensor(q), Tensor(k), Tensor(v), 2).data
+        np.testing.assert_allclose(out[0], 1e38, rtol=1e-6)
+        for i in range(2):  # each sample has the bits it has alone
+            alone = T.cosine_attention(*(Tensor(a.reshape(2, -1, a.shape[1])[i]) for a in (q, k, v)))
+            assert out[i].tobytes() == alone.data.tobytes()
+        v[1, 0] = np.inf  # a value that is not finite still raises
+        with pytest.raises(NumericalError, match="^cosine_attention: "):
+            T.cosine_attention(Tensor(q), Tensor(k), Tensor(v), 2)
 
 
 def test_valid_counts_are_cached_read_only():
@@ -697,6 +735,11 @@ def _op_builders(rng: Rng):
     fg, fs = p64(rng, (5,), "fg"), p64(rng, (5,), "fs")
     fw1, fb1 = p64(rng, (5, 6), "fw1"), p64(rng, (6,), "fb1")
     fw2, fb2 = p64(rng, (6, 3), "fw2"), p64(rng, (3,), "fb2")
+    # fused ops at b = 1, drawn after those
+    lx = p64(rng, (4, 5), "lx")
+    lg, ls = p64(rng, (5,), "lg"), p64(rng, (5,), "ls")
+    lw1, lb1 = p64(rng, (5, 6), "lw1"), p64(rng, (6,), "lb1")
+    lw2, lb2 = p64(rng, (6, 3), "lw2"), p64(rng, (3,), "lb2")
     return {
         "matmul": (lambda: T.matmul(a.value, b.value), [a, b]),
         "transpose": (lambda: T.transpose(a.value), [a]),
@@ -704,7 +747,6 @@ def _op_builders(rng: Rng):
         "sub": (lambda: T.sub(x.value, y.value), [x, y]),
         "mul": (lambda: T.mul(x.value, y.value), [x, y]),
         "absdiff": (lambda: T.absdiff(x.value, ysep.value), [x, ysep]),
-        "add_bias": (lambda: T.add_bias(x.value, bias.value), [x, bias]),
         "scale_channels": (lambda: T.scale_channels(x.value, gvec.value), [x, gvec]),
         "mul_scalar": (lambda: T.mul_scalar(x.value, -1.7), [x]),
         "relu": (lambda: T.relu(xoff.value), [xoff]),
@@ -746,7 +788,6 @@ def _op_builders(rng: Rng):
         "slice_rows_b2": (lambda: T.slice_rows(bk.value, 1, 4, 2), [bk]),
         "sum_all_b2": (lambda: T.sum_all(bq.value, 2), [bq]),
         "matmul_b2": (lambda: T.matmul(bk.value, b.value, 2), [bk, b]),
-        "add_bias_b2": (lambda: T.add_bias(bv.value, bvec.value, 2), [bv, bvec]),
         "scale_channels_b2": (lambda: T.scale_channels(bv.value, bvec.value, 2), [bv, bvec]),
         "layer_norm_b2": (lambda: T.layer_norm(bk.value, bgain.value, bshift.value, 2),
                           [bk, bgain, bshift]),
@@ -757,6 +798,9 @@ def _op_builders(rng: Rng):
         "linear_b2": (lambda: T.linear(fx.value, fw1.value, fb1.value, 2), [fx, fw1, fb1]),
         "mlp_b2": (lambda: T.mlp(fx.value, fg.value, fs.value, fw1.value, fb1.value, fw2.value,
                                  fb2.value, 2), [fx, fg, fs, fw1, fb1, fw2, fb2]),
+        "linear": (lambda: T.linear(lx.value, lw1.value, lb1.value), [lx, lw1, lb1]),
+        "mlp": (lambda: T.mlp(lx.value, lg.value, ls.value, lw1.value, lb1.value, lw2.value,
+                              lb2.value), [lx, lg, ls, lw1, lb1, lw2, lb2]),
     }
 
 
@@ -888,17 +932,19 @@ def test_ops_that_take_b_give_each_sample_its_result_alone(b, dtype, taped):
             assert got[i].tobytes() == op(Tensor(grid.data[i])).data.tobytes()
 
 
-@pytest.mark.parametrize("op", ["matmul", "add_bias", "scale_channels", "layer_norm"])
+@pytest.mark.parametrize("op", ["matmul", "linear", "scale_channels", "layer_norm", "mlp"])
 def test_weight_gradients_of_a_batch_are_those_of_one_record_per_sample(op):
     b = 3
     x = _samples(b, 5, 4, np.float32)
     calls = {
         "matmul": lambda x, p, *n: T.matmul(x, p[0], *n),
-        "add_bias": lambda x, p, *n: T.add_bias(x, p[0], *n),
+        "linear": lambda x, p, *n: T.linear(x, *p, *n),
         "scale_channels": lambda x, p, *n: T.scale_channels(x, p[0], *n),
         "layer_norm": lambda x, p, *n: T.layer_norm(x, p[0], p[1], *n),
+        "mlp": lambda x, p, *n: T.mlp(x, *p, *n),
     }
-    shapes = {"matmul": [(4, 6)], "layer_norm": [(4,), (4,)]}.get(op, [(4,)])
+    shapes = {"matmul": [(4, 6)], "linear": [(4, 6), (6,)], "layer_norm": [(4,), (4,)],
+              "mlp": [(4,), (4,), (4, 8), (8,), (8, 3), (3,)]}.get(op, [(4,)])
 
     def grads(batched: bool) -> list[bytes]:
         params = [Parameter(Tensor(Rng(j).normal(sh, dtype=np.float32)), f"p{j}")
