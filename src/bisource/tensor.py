@@ -6,8 +6,22 @@ Tape is active in the calling thread, records a backward closure.  The
 validation probes the output's sum of squares, which is finite only if every
 element is, and scans the elements only when the probe is not finite (a NaN
 or Inf, or finite values whose squares overflow), so it is exact.
-``backward`` releases each tape record, with the arrays its closure captured
-and its output's gradient, as soon as the record has run.
+
+A Tensor's gradient lives in its slot (``_Slot``), made the first time a
+taped op records or reads the tensor; ``Tensor.grad`` and ``Parameter.grad``
+read and write it.  Under a Tape an op records its output's slot, not the
+output, with a closure that holds the arrays its backward reads and the
+slots of the inputs it adds into, never a Tensor.  So an output that no
+backward reads, such as one that only ``add``, ``layer_norm``, ``reshape``, a
+slice, a concatenation or ``avg_pool_2d`` takes, is freed as soon as the
+forward drops it.  ``mlp`` keeps its normalised rows, their 1 / sigma and its
+GELU's input and CDF, and rebuilds the two outputs its linears' weight
+gradients read, the layer norm's and the GELU's, in its backward with the
+forward's own operations, so they have the same bits.  A kernel's backward
+returns a fresh array, which an empty slot keeps rather than copies.
+Untaped calls make no slot, and untaped ``matmul`` and ``linear`` build no
+backward.  ``backward`` releases each tape record, with the arrays its
+closure captured and its output's gradient, as soon as the record has run.
 
 A batch of b samples is carried as rows, each sample's rows after the
 previous sample's, so elementwise and row-wise ops need no batch count.  The
@@ -60,8 +74,11 @@ and the op's weight Tensors and returns ``(output, back)``: ``back(g)`` adds
 the gradients of the weight Tensors and returns the input's gradient
 (``_cosine``, whose operands are both Tensors, adds both and returns none).
 ``_matmul``, ``_linear``, ``_layer_norm``, ``_gelu``, ``_softmax``,
-``_attend`` and ``_cosine`` are the kernels; a kernel with an inference form
-(``_inference``) returns no backward there.  A public op calls its kernel,
+``_attend`` and ``_cosine`` are the kernels; all but ``_softmax`` and
+``_attend`` return no backward without a Tape.  ``_layer_norm`` and ``_gelu``
+also return ``again``, which rebuilds their output, and ``_matmul`` and
+``_linear`` can take such a function in place of keeping their input.  A
+public op calls its kernel,
 and no public op calls another.  ``linear`` (matmul, bias), ``mlp``
 (layer_norm, linear, gelu, linear) and ``cosine_attention`` (cosine_rows,
 softmax, value product) run their kernels in a row and check their output
@@ -191,10 +208,31 @@ class AllocStats:
 alloc_stats = AllocStats()
 
 
+class _Slot:
+    """A tensor's gradient, held apart from its values.  Tape records hold the
+    slot of their output and closures the slots of the inputs they add into,
+    so an output whose values no backward reads is freed when the code that
+    made it drops the Tensor."""
+
+    __slots__ = ("grad", "dtype")
+
+    def __init__(self, dtype) -> None:
+        self.grad: np.ndarray | None = None
+        self.dtype = dtype
+
+
+def _slot(t: "Tensor") -> _Slot:
+    """t's gradient slot, made on first use (only taped ops use one)."""
+    s = t._slot
+    if s is None:
+        s = t._slot = _Slot(t.data.dtype)
+    return s
+
+
 class Tensor:
     """Immutable dense array value.  ``grad`` is populated only by backward()."""
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("data", "_slot")
 
     def __init__(self, data: np.ndarray) -> None:
         if data.dtype not in (np.float32, np.float64):
@@ -202,7 +240,7 @@ class Tensor:
         if not (1 <= data.ndim <= 4):
             raise ShapeError(f"rank must be 1-4, got {data.ndim}")
         self.data = np.ascontiguousarray(data)
-        self.grad: np.ndarray | None = None
+        self._slot: _Slot | None = None
         alloc_stats.add(self.data.size)
 
     def __del__(self) -> None:
@@ -211,6 +249,15 @@ class Tensor:
         except AttributeError:  # __init__ raised before counting this tensor
             return
         alloc_stats.sub(n)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        s = self._slot
+        return None if s is None else s.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        _slot(self).grad = g
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -266,7 +313,7 @@ class Tape:
     """
 
     def __init__(self) -> None:
-        self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self._records: list[tuple[_Slot, Callable[[np.ndarray], None]]] = []
         self._token = None
 
     def __enter__(self) -> "Tape":
@@ -279,7 +326,7 @@ class Tape:
         _active_tape.reset(self._token)
         self._token = None
 
-    def record(self, out: Tensor, fn: Callable[[np.ndarray], None]) -> None:
+    def record(self, out: _Slot, fn: Callable[[np.ndarray], None]) -> None:
         self._records.append((out, fn))
 
     def clear(self) -> None:
@@ -310,11 +357,20 @@ def backward(loss: Tensor, tape: Tape) -> None:
         out.grad = None
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = g.astype(t.data.dtype, copy=True)
+def _accum(s: _Slot, g: np.ndarray) -> None:
+    if s.grad is None:
+        s.grad = g.astype(s.dtype, copy=True)
     else:
-        t.grad += g
+        s.grad += g
+
+
+def _accum_own(s: _Slot, g: np.ndarray) -> None:
+    """``_accum`` of an array that nothing else holds: an empty slot keeps it
+    as it is when its dtype is the slot's, instead of a copy."""
+    if s.grad is None and g.dtype == s.dtype:
+        s.grad = g
+    else:
+        _accum(s, g)
 
 
 def _non_finite(op: str, data: np.ndarray) -> NumericalError:
@@ -331,13 +387,18 @@ def all_finite(data: np.ndarray) -> bool:
     return math.isfinite(np.vdot(data, data)) or bool(np.isfinite(data).all())
 
 
-def _out(data: np.ndarray, fn: Callable[[np.ndarray], None] | None) -> Tensor:
+def _out(data: np.ndarray, fn: Callable[..., None] | None, *inputs: Tensor) -> Tensor:
+    """``data`` checked and wrapped.  Under a Tape, records ``fn`` with the
+    output's slot: the record calls fn(g, *slots), the slots of ``inputs``
+    in order, so ``fn`` itself captures only the arrays its backward reads."""
     if not all_finite(data):
         raise _non_finite(sys._getframe(1).f_code.co_name, data)
     t = Tensor(data)
-    tape = _active_tape.get()
-    if tape is not None and fn is not None:
-        tape.record(t, fn)
+    if fn is not None:
+        tape = _active_tape.get()
+        if tape is not None:
+            slots = [_slot(x) for x in inputs]
+            tape.record(_slot(t), lambda g: fn(g, *slots))
     return t
 
 
@@ -407,32 +468,40 @@ def _transposed_groups(x3: np.ndarray) -> np.ndarray:
     return x3.transpose(1, 0, 2).reshape(p, b * q).T
 
 
-def _accum_per_sample(t: Tensor, parts: np.ndarray) -> None:
-    """Add b samples' gradients [b, ...] to t's, last sample first: what the
+def _accum_per_sample(s: _Slot, parts: np.ndarray) -> None:
+    """Add b samples' gradients [b, ...] to s's, last sample first: what the
     records of b samples made one after another would add, in their order."""
     for part in parts[::-1]:
-        _accum(t, part)
+        _accum(s, part)
 
 
-def _into(x: Tensor, back: Callable[[np.ndarray], np.ndarray] | None):
-    """The record of an op on x whose kernel returned ``back``: it adds the
-    input's gradient that ``back`` returns to x's.  None when ``back`` is."""
-    return None if back is None else lambda g: _accum(x, back(g))
+def _into(back: Callable[[np.ndarray], np.ndarray] | None):
+    """The backward of an op on one input whose kernel returned ``back``: it
+    adds the fresh gradient array that ``back`` returns to the input's slot.
+    None when ``back`` is."""
+    return None if back is None else lambda g, s: _accum_own(s, back(g))
 
 
-def _matmul(x: np.ndarray, w: Tensor, b: int, op: str):
+def _matmul(x: np.ndarray, w: Tensor, b: int, op: str, x_again: Callable[[], np.ndarray] | None = None):
     """x [b*M, K] x w [K, N] for b samples stacked in x's rows, one product
-    per sample; back adds w's per-sample gradients."""
-    if x.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b < 1 or x.shape[0] % b:
-        raise ShapeError(f"{op}: incompatible shapes {x.shape} x {w.shape} in {b} samples")
-    x3 = x.reshape(b, -1, x.shape[1])
+    per sample; back adds w's per-sample gradients.  No back without a Tape.
+    ``x_again()`` rebuilds x for back, so that back need not keep x."""
+    shape, wd = x.shape, w.data
+    if x.ndim != 2 or wd.ndim != 2 or shape[1] != wd.shape[0] or b < 1 or shape[0] % b:
+        raise ShapeError(f"{op}: incompatible shapes {shape} x {wd.shape} in {b} samples")
+    y = np.matmul(x.reshape(b, -1, shape[1]), wd).reshape(shape[0], wd.shape[1])
+    if _active_tape.get() is None:
+        return y, None
+    sw = _slot(w)
+    if x_again is None:
+        x_again = lambda: x
 
     def back(g: np.ndarray) -> np.ndarray:
         g3 = g.reshape(b, -1, g.shape[1])
-        _accum_per_sample(w, np.matmul(_t(x3), g3))
-        return np.matmul(g3, w.data.T).reshape(x.shape)
+        _accum_per_sample(sw, np.matmul(_t(x_again().reshape(b, -1, shape[1])), g3))
+        return np.matmul(g3, wd.T).reshape(shape)
 
-    return np.matmul(x3, w.data).reshape(x.shape[0], w.shape[1]), back
+    return y, back
 
 
 def matmul(a: Tensor, w: Tensor, b: int = 1) -> Tensor:
@@ -440,17 +509,18 @@ def matmul(a: Tensor, w: Tensor, b: int = 1) -> Tensor:
     per sample, so each sample's rows, and its share of w's gradient, have
     the bits of the product on that sample alone (``_accum_per_sample``)."""
     y, back = _matmul(a.data, w, b, "matmul")
-    return _out(y, _into(a, back))
+    return _out(y, _into(back), a)
 
 
 def transpose(a: Tensor, b: int = 1) -> Tensor:
     """[b*M, N] -> [b*N, M]: each sample's [M, N] rows transposed in place."""
     a3 = _groups(a, b, "transpose")
+    _, m, n = a3.shape
 
-    def fn(g: np.ndarray) -> None:
-        _accum(a, _transposed_groups(g.reshape(b, a3.shape[2], a3.shape[1])))
+    def fn(g: np.ndarray, sa: _Slot) -> None:
+        _accum(sa, _transposed_groups(g.reshape(b, n, m)))
 
-    return _out(_t(a3).copy().reshape(-1, a3.shape[1]), fn)
+    return _out(_t(a3).copy().reshape(-1, m), fn, a)
 
 
 def batch_matmul(a: Tensor, c: Tensor, b: int) -> Tensor:
@@ -459,66 +529,72 @@ def batch_matmul(a: Tensor, c: Tensor, b: int) -> Tensor:
     if a3.shape[2] != c3.shape[1]:
         raise ShapeError(f"batch_matmul: incompatible shapes {a.shape} x {c.shape} in {b} groups")
 
-    def fn(g: np.ndarray) -> None:
+    def fn(g: np.ndarray, sa: _Slot, sc: _Slot) -> None:
         g3 = g.reshape(b, a3.shape[1], c3.shape[2])
-        _accum(a, np.matmul(g3, _t(c3)).reshape(a.shape))
-        _accum(c, np.matmul(_t(a3), g3).reshape(c.shape))
+        _accum_own(sa, np.matmul(g3, _t(c3)).reshape(-1, a3.shape[2]))
+        _accum_own(sc, np.matmul(_t(a3), g3).reshape(-1, c3.shape[2]))
 
-    return _out(np.matmul(a3, c3).reshape(-1, c3.shape[2]), fn)
+    return _out(np.matmul(a3, c3).reshape(-1, c3.shape[2]), fn, a, c)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
 
-    def fn(g: np.ndarray) -> None:
-        _accum(a, g)
-        _accum(b, g)
+    def fn(g: np.ndarray, sa: _Slot, sb: _Slot) -> None:
+        _accum(sa, g)
+        _accum(sb, g)
 
-    return _out(a.data + b.data, fn)
+    return _out(a.data + b.data, fn, a, b)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "sub")
 
-    def fn(g: np.ndarray) -> None:
-        _accum(a, g)
-        _accum(b, -g)
+    def fn(g: np.ndarray, sa: _Slot, sb: _Slot) -> None:
+        _accum(sa, g)
+        _accum_own(sb, -g)
 
-    return _out(a.data - b.data, fn)
+    return _out(a.data - b.data, fn, a, b)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
+    ad, bd = a.data, b.data
 
-    def fn(g: np.ndarray) -> None:
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
+    def fn(g: np.ndarray, sa: _Slot, sb: _Slot) -> None:
+        _accum_own(sa, g * bd)
+        _accum_own(sb, g * ad)
 
-    return _out(a.data * b.data, fn)
+    return _out(ad * bd, fn, a, b)
 
 
 def absdiff(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "absdiff")
     d = a.data - b.data
 
-    def fn(g: np.ndarray) -> None:
+    def fn(g: np.ndarray, sa: _Slot, sb: _Slot) -> None:
         s = np.sign(d)
-        _accum(a, g * s)
-        _accum(b, -g * s)
+        _accum_own(sa, g * s)
+        _accum_own(sb, -g * s)
 
-    return _out(np.abs(d), fn)
+    return _out(np.abs(d), fn, a, b)
 
 
-def _linear(x: np.ndarray, w: Tensor, bias: Tensor, b: int, op: str):
+def _linear(x: np.ndarray, w: Tensor, bias: Tensor, b: int, op: str,
+            x_again: Callable[[], np.ndarray] | None = None):
     """``_matmul``, then the bias added in place into the product; back adds
     the bias's per-sample gradients, then runs ``_matmul``'s back."""
-    y, back_w = _matmul(x, w, b, op)
-    if bias.data.ndim != 1 or bias.shape[0] != y.shape[1]:
-        raise ShapeError(f"{op}: {x.shape} x {w.shape} + bias {bias.shape}")
-    y += bias.data
+    y, back_w = _matmul(x, w, b, op, x_again)
+    bd, n = bias.data, y.shape[1]
+    if bd.shape != (n,):
+        raise ShapeError(f"{op}: {x.shape} x {w.shape} + bias {bd.shape}")
+    y += bd
+    if back_w is None:
+        return y, None
+    sb = _slot(bias)
 
     def back(g: np.ndarray) -> np.ndarray:
-        _accum_per_sample(bias, g.reshape(b, -1, bias.shape[0]).sum(axis=1))
+        _accum_per_sample(sb, g.reshape(b, -1, n).sum(axis=1))
         return back_w(g)
 
     return y, back
@@ -528,7 +604,7 @@ def linear(x: Tensor, w: Tensor, bias: Tensor, b: int = 1) -> Tensor:
     """x [b*M, K] x w [K, N] + bias [N] for b samples stacked in x's rows:
     one product per sample, the bias added in place, and one record."""
     y, back = _linear(x.data, w, bias, b, "linear")
-    return _out(y, _into(x, back))
+    return _out(y, _into(back), x)
 
 
 def scale_channels(x: Tensor, g_vec: Tensor, b: int = 1) -> Tensor:
@@ -536,28 +612,31 @@ def scale_channels(x: Tensor, g_vec: Tensor, b: int = 1) -> Tensor:
     for b samples stacked in x's rows."""
     if g_vec.data.ndim != 1 or x.shape[-1] != g_vec.shape[0] or x.shape[0] % b:
         raise ShapeError(f"scale_channels: {x.shape} * {g_vec.shape} in {b} samples")
+    xd, gv = x.data, g_vec.data
 
-    def fn(g: np.ndarray) -> None:
-        _accum(x, g * g_vec.data)
-        _accum_per_sample(g_vec, (g * x.data).reshape(b, -1, g_vec.shape[0]).sum(axis=1))
+    def fn(g: np.ndarray, sx: _Slot, sv: _Slot) -> None:
+        _accum_own(sx, g * gv)
+        _accum_per_sample(sv, (g * xd).reshape(b, -1, gv.shape[0]).sum(axis=1))
 
-    return _out(x.data * g_vec.data, fn)
+    return _out(xd * gv, fn, x, g_vec)
 
 
 def mul_scalar(x: Tensor, s: float) -> Tensor:
     s = float(s)
 
-    def fn(g: np.ndarray) -> None:
-        _accum(x, g * s)
+    def fn(g: np.ndarray, sx: _Slot) -> None:
+        _accum_own(sx, g * s)
 
-    return _out(x.data * s, fn)
+    return _out(x.data * s, fn, x)
 
 
 def relu(x: Tensor) -> Tensor:
-    def fn(g: np.ndarray) -> None:
-        _accum(x, g * (x.data > 0))
+    xd = x.data
 
-    return _out(np.maximum(x.data, 0), fn)
+    def fn(g: np.ndarray, sx: _Slot) -> None:
+        _accum_own(sx, g * (xd > 0))
+
+    return _out(np.maximum(xd, 0), fn, x)
 
 
 _INV_SQRT2 = 0.7071067811865476
@@ -724,20 +803,28 @@ def _gelu_rational(x: np.ndarray) -> np.ndarray:
 def _gelu(x: np.ndarray):
     """gelu's kernel: erf from ``_erf``, or in an inference call from
     ``_gelu_rational``, with no backward.  There -inf gives NaN, so callers
-    hold np.errstate(invalid="ignore") and let _out report it."""
+    hold np.errstate(invalid="ignore") and let _out report it.  Returns
+    (output, back, again); with no Tape, back and again are None, and
+    ``again()`` rebuilds the output with the forward's own multiply."""
     if _inference(x):
-        return _gelu_rational(x), None
+        return _gelu_rational(x), None, None
     y = x * _INV_SQRT2  # erf's argument; the buffer then takes the output
     cdf = _erf(y)
     cdf += 1.0
     cdf *= 0.5
-    np.multiply(x, cdf, out=y)
+
+    def again(out: np.ndarray | None = None) -> np.ndarray:
+        return np.multiply(x, cdf, out=out)
+
+    y = again(y)
+    if _active_tape.get() is None:
+        return y, None, None
 
     def back(g: np.ndarray) -> np.ndarray:
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
         return (g * (cdf + x * pdf)).astype(x.dtype, copy=False)
 
-    return y, back
+    return y, back, again
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -752,8 +839,8 @@ def gelu(x: Tensor) -> Tensor:
     2.2e-7 |x|).
     """
     with np.errstate(invalid="ignore"):  # -inf gives NaN, which _out reports
-        y, back = _gelu(x.data)
-    return _out(y, _into(x, back))
+        y, back, _ = _gelu(x.data)
+    return _out(y, _into(back), x)
 
 
 def _softmax(x: np.ndarray):
@@ -774,18 +861,20 @@ def softmax_rows(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError("softmax_rows: rank-2 only")
     z, back = _softmax(x.data)
-    return _out(z, _into(x, back))
+    return _out(z, _into(back), x)
 
 
-def _attend(s: np.ndarray, v: Tensor, v3: np.ndarray):
+def _attend(s: np.ndarray, sv: _Slot, v3: np.ndarray):
     """``_softmax`` of scores s [b, M, N] times each sample's values v3
-    [b, N, dv] (v's data); back adds v's gradient and returns s's."""
+    [b, N, dv] (the data of the tensor whose slot is ``sv``); back adds the
+    values' gradient and returns s's."""
     p, back_p = _softmax(s)
     out = np.matmul(p, v3)
+    shape = out.shape
 
     def back(g: np.ndarray) -> np.ndarray:
-        g3 = g.reshape(out.shape)
-        _accum(v, np.matmul(_t(p), g3).reshape(v.shape))
+        g3 = g.reshape(shape)
+        _accum_own(sv, np.matmul(_t(p), g3).reshape(-1, v3.shape[2]))
         return back_p(np.matmul(g3, _t(v3)))
 
     return out, back
@@ -824,14 +913,15 @@ def attention_rows(q: Tensor, k: Tensor, v: Tensor, scale: float, b: int = 1) ->
     scale = float(scale)
     if _active_tape.get() is not None:
         kt = _t(k3).copy()  # the chain's transpose is a contiguous copy
-        out, back = _attend(np.matmul(q3, kt) * scale, v, v3)
+        out, back = _attend(np.matmul(q3, kt) * scale, _slot(v), v3)
+        q_shape = q.shape
 
-        def fn(g: np.ndarray) -> None:
+        def fn(g: np.ndarray, sq: _Slot, sk: _Slot) -> None:
             gs = back(g) * scale
-            _accum(q, np.matmul(gs, _t(kt)).reshape(q.shape))
-            _accum(k, _transposed_groups(np.matmul(_t(q3), gs)))
+            _accum_own(sq, np.matmul(gs, _t(kt)).reshape(q_shape))
+            _accum(sk, _transposed_groups(np.matmul(_t(q3), gs)))
 
-        return _out(out.reshape(q.shape[0], v.shape[1]), fn)
+        return _out(out.reshape(q.shape[0], v.shape[1]), fn, q, k)
     qs = q.data * scale
     kt = _t(k3)
     dtype = np.result_type(qs, kt, v.data)
@@ -923,7 +1013,7 @@ def _attention_blocks(qs: np.ndarray, kt: np.ndarray, va: np.ndarray, shift: lis
 def _cosine(q: Tensor, k: Tensor, b: int, op: str):
     """Cosine similarity [b, M, N] of q's rows against k's for each of b
     samples, norms clamped below at NORM_EPS; back adds q's and k's
-    gradients itself and returns nothing."""
+    gradients itself and returns nothing.  No back without a Tape."""
     q3, k3 = _groups(q, b, op), _groups(k, b, op)
     if q.shape[1] != k.shape[1]:
         raise ShapeError(f"{op}: {q.shape} vs {k.shape}")
@@ -932,6 +1022,9 @@ def _cosine(q: Tensor, k: Tensor, b: int, op: str):
     qh = (q.data / nq).reshape(q3.shape)
     kh = (k.data / nk).reshape(k3.shape)
     out = np.matmul(qh, _t(kh))
+    if _active_tape.get() is None:
+        return out, None
+    sq, sk, d = _slot(q), _slot(k), q.shape[1]
 
     def back(g: np.ndarray) -> None:
         # d out[i,j]/d q_i = (kh_j - out[i,j] * qh_i) / nq_i; the projection
@@ -942,8 +1035,8 @@ def _cosine(q: Tensor, k: Tensor, b: int, op: str):
         col_dot = go.sum(axis=1)[:, :, None]
         gq = np.matmul(g3, kh) - (nq > NORM_EPS).reshape(row_dot.shape) * row_dot * qh
         gk = np.matmul(_t(g3), qh) - (nk > NORM_EPS).reshape(col_dot.shape) * col_dot * kh
-        _accum(q, gq.reshape(q.shape) / nq)
-        _accum(k, gk.reshape(k.shape) / nk)
+        _accum_own(sq, gq.reshape(-1, d) / nq)
+        _accum_own(sk, gk.reshape(-1, d) / nk)
 
     return out, back
 
@@ -979,8 +1072,8 @@ def cosine_attention(q: Tensor, k: Tensor, v: Tensor, b: int = 1) -> Tensor:
     # a NaN or Inf is reported by _out, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         s, back_s = _cosine(q, k, b, "cosine_attention")
-        if _active_tape.get() is not None:
-            out, back = _attend(s, v, v3)
+        if back_s is not None:
+            out, back = _attend(s, _slot(v), v3)
             return _out(out.reshape(q.shape[0], dv), lambda g: back_s(back(g)))
         # each sample's values and a ones column: one product gives sum p v and sum p
         va = np.empty(v3.shape[:2] + (dv + 1,), dtype=np.result_type(q.data, k.data, v.data))
@@ -1000,29 +1093,38 @@ def _layer_norm(x: np.ndarray, gain: Tensor, bias: Tensor, b: int, op: str):
     """layer_norm's kernel, in an inference call ``_layer_norm_einsum`` with
     no backward; back adds gain's and bias's per-sample gradients.  An Inf
     gives NaN, so callers hold np.errstate(invalid="ignore") and let _out
-    report it."""
+    report it.  Returns (output, back, again) as ``_gelu`` does: ``again()``
+    rebuilds the output from the normalised rows back keeps."""
     c = x.shape[-1]
     if gain.shape != (c,) or bias.shape != (c,) or x.shape[0] % b:
         raise ShapeError(f"{op}: gain/bias must be ({c},), rows {b} samples")
     if _inference(x):
-        return _layer_norm_einsum(x, gain.data, bias.data), None
+        return _layer_norm_einsum(x, gain.data, bias.data), None, None
     # the steps of np.mean and np.var, sharing the centred values: same bits
     d = x - np.add.reduce(x, axis=-1, keepdims=True) / c
     var = np.add.reduce(d * d, axis=-1, keepdims=True) / c
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = d * inv
+    gd, bd, dtype = gain.data, bias.data, x.dtype
+
+    def again() -> np.ndarray:
+        return (xhat * gd + bd).astype(dtype, copy=False)
+
+    if _active_tape.get() is None:
+        return again(), None, None
+    sg, sb = _slot(gain), _slot(bias)
 
     def back(g: np.ndarray) -> np.ndarray:
         per_g = g.reshape(b, -1, c)
         per_x = xhat.reshape(b, -1, c)
-        _accum_per_sample(gain, (per_g * per_x).sum(axis=1))
-        _accum_per_sample(bias, per_g.sum(axis=1))
-        gx = g * gain.data
+        _accum_per_sample(sg, (per_g * per_x).sum(axis=1))
+        _accum_per_sample(sb, per_g.sum(axis=1))
+        gx = g * gd
         m1 = gx.mean(axis=-1, keepdims=True)
         m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-        return ((gx - m1 - xhat * m2) * inv).astype(x.dtype, copy=False)
+        return ((gx - m1 - xhat * m2) * inv).astype(dtype, copy=False)
 
-    return (xhat * gain.data + bias.data).astype(x.dtype, copy=False), back
+    return again(), back, again
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, b: int = 1) -> Tensor:
@@ -1037,8 +1139,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, b: int = 1) -> Tensor:
     2.0, as for the taped float32 form).
     """
     with np.errstate(invalid="ignore"):  # an Inf gives NaN, which _out reports
-        y, back = _layer_norm(x.data, gain, bias, b, "layer_norm")
-    return _out(y, _into(x, back))
+        y, back, _ = _layer_norm(x.data, gain, bias, b, "layer_norm")
+    return _out(y, _into(back), x)
 
 
 def _layer_norm_einsum(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -1067,14 +1169,19 @@ def mlp(x: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, b1: Tensor, w2: Tenso
     Runs the kernels of that chain, each in the form its op would take
     (``_inference``), and checks only its output: the chain's bits, with
     any NaN or Inf reported as this op's.  Under a Tape it is one record,
-    whose closure runs the kernels' backs last first.
+    whose closure runs the kernels' backs last first.  It keeps the
+    normalised rows, the GELU's input and its CDF; the two linears' inputs,
+    the layer norm's and the GELU's outputs, are rebuilt in the backward by
+    the operations that made them, so they have the same bits.
     """
     with np.errstate(invalid="ignore"):  # an Inf gives NaN, which _out reports
-        h, back_ln = _layer_norm(x.data, ln_g, ln_b, b, "mlp")
-        h, back_1 = _linear(h, w1, b1, b, "mlp")
-        h, back_gelu = _gelu(h)
-        y, back_2 = _linear(h, w2, b2, b, "mlp")
-    return _out(y, _into(x, lambda g: back_ln(back_1(back_gelu(back_2(g))))))
+        h, back_ln, norm_again = _layer_norm(x.data, ln_g, ln_b, b, "mlp")
+        h, back_1 = _linear(h, w1, b1, b, "mlp", norm_again)
+        h, back_gelu, gelu_again = _gelu(h)
+        y, back_2 = _linear(h, w2, b2, b, "mlp", gelu_again)
+    if back_2 is None:  # no Tape
+        return _out(y, None)
+    return _out(y, _into(lambda g: back_ln(back_1(back_gelu(back_2(g))))), x)
 
 
 def _box_sum(a: np.ndarray, window: int) -> np.ndarray:
@@ -1089,8 +1196,13 @@ def _box_sum(a: np.ndarray, window: int) -> np.ndarray:
     r = window // 2
     s = np.zeros(a.shape[:-3] + (h + 2 * r + 1, w + 2 * r + 1, a.shape[-1]), dtype=np.float64)
     s[..., r + 1 : r + 1 + h, r + 1 : r + 1 + w, :] = a
-    np.cumsum(s, axis=-3, out=s)
-    np.cumsum(s, axis=-2, out=s)
+    # np.cumsum's additions in its order, a row and then a column at a time
+    # (np.cumsum along these axes runs one lane at a time); the r + 1 leading
+    # rows and columns are zeros, as their sums are
+    for i in range(r + 1, s.shape[-3]):
+        s[..., i, :, :] += s[..., i - 1, :, :]
+    for j in range(r + 1, s.shape[-2]):
+        s[..., j, :] += s[..., j - 1, :]
     lo_i, hi_i = slice(0, h), slice(2 * r + 1, 2 * r + 1 + h)
     lo_j, hi_j = slice(0, w), slice(2 * r + 1, 2 * r + 1 + w)
     out = (s[..., hi_i, hi_j, :] - s[..., lo_i, hi_j, :]
@@ -1143,9 +1255,9 @@ def avg_pool_2d(x: Tensor, window: int) -> Tensor:
     if x.data.ndim not in (3, 4):
         raise ShapeError("avg_pool_2d: expects [H, W, C] or [B, H, W, C]")
     if window == 1:
-        def fn_id(g: np.ndarray) -> None:
-            _accum(x, g)
-        return _out(x.data.copy(), fn_id)
+        def fn_id(g: np.ndarray, sx: _Slot) -> None:
+            _accum(sx, g)
+        return _out(x.data.copy(), fn_id, x)
     h, w = x.shape[-3:-1]
     counts = _valid_counts(h, w, window, x.data.dtype)[:, :, None]
     if _inference(x.data):
@@ -1154,12 +1266,13 @@ def avg_pool_2d(x: Tensor, window: int) -> Tensor:
         sums /= counts
         return _out(sums, None)
     y = _box_sum(x.data, window) / counts
+    dtype = x.data.dtype
 
-    def fn(g: np.ndarray) -> None:
+    def fn(g: np.ndarray, sx: _Slot) -> None:
         # adjoint of count-normalized box filtering is box-summing g / counts
-        _accum(x, _box_sum((g / counts).astype(x.data.dtype), window))
+        _accum_own(sx, _box_sum((g / counts).astype(dtype), window))
 
-    return _out(y, fn)
+    return _out(y, fn, x)
 
 
 @functools.cache
@@ -1187,12 +1300,14 @@ def bilinear_upsample_2x(x: Tensor) -> Tensor:
     y = np.einsum("ph,...hwc->...pwc", uh, x.data)
     y = np.einsum("qw,...pwc->...pqc", uw, y)
 
-    def fn(g: np.ndarray) -> None:
+    dtype = x.data.dtype
+
+    def fn(g: np.ndarray, sx: _Slot) -> None:
         gx = np.einsum("qw,...pqc->...pwc", uw, g)
         gx = np.einsum("ph,...pwc->...hwc", uh, gx)
-        _accum(x, gx.astype(x.data.dtype))
+        _accum_own(sx, gx.astype(dtype, copy=False))
 
-    return _out(np.ascontiguousarray(y), fn)
+    return _out(np.ascontiguousarray(y), fn, x)
 
 
 def space_to_depth(x: Tensor, factor: int) -> Tensor:
@@ -1204,22 +1319,22 @@ def space_to_depth(x: Tensor, factor: int) -> Tensor:
     if h % factor or w % factor:
         raise ShapeError(f"space_to_depth: {h}x{w} not divisible by {factor}")
     hh, ww = h // factor, w // factor
-    lead = x.shape[:-3]
+    lead, shape = x.shape[:-3], x.shape
 
-    def fn(g: np.ndarray) -> None:
+    def fn(g: np.ndarray, sx: _Slot) -> None:
         ga = (
             g.reshape(-1, hh, ww, factor, factor, c)
             .transpose(0, 1, 3, 2, 4, 5)
-            .reshape(x.shape)
+            .reshape(shape)
         )
-        _accum(x, ga)
+        _accum(sx, ga)
 
     out = (
         x.data.reshape(-1, hh, factor, ww, factor, c)
         .transpose(0, 1, 3, 2, 4, 5)
         .reshape(lead + (hh, ww, factor * factor * c))
     )
-    return _out(out, fn)
+    return _out(out, fn, x)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -1231,15 +1346,15 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
         return parts[0]
     sizes = [p.shape[0] for p in parts]
 
-    def fn(g: np.ndarray) -> None:
+    def fn(g: np.ndarray, *slots: _Slot) -> None:
         # last part first, as records made one after another would run, so
         # that a tensor given more than once adds its gradients in that order
         ofs = sum(sizes)
-        for p, n in zip(reversed(parts), reversed(sizes)):
+        for s, n in zip(reversed(slots), reversed(sizes)):
             ofs -= n
-            _accum(p, g[ofs : ofs + n])
+            _accum(s, g[ofs : ofs + n])
 
-    return _out(np.concatenate([p.data for p in parts], axis=0), fn)
+    return _out(np.concatenate([p.data for p in parts], axis=0), fn, *parts)
 
 
 def concat_channels(parts: Sequence[Tensor]) -> Tensor:
@@ -1247,22 +1362,24 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
         raise ShapeError("concat_channels: empty")
     sizes = [p.shape[-1] for p in parts]
 
-    def fn(g: np.ndarray) -> None:
+    def fn(g: np.ndarray, *slots: _Slot) -> None:
         ofs = 0
-        for p, n in zip(parts, sizes):
-            _accum(p, g[..., ofs : ofs + n])
+        for s, n in zip(slots, sizes):
+            _accum(s, g[..., ofs : ofs + n])
             ofs += n
 
-    return _out(np.concatenate([p.data for p in parts], axis=-1), fn)
+    return _out(np.concatenate([p.data for p in parts], axis=-1), fn, *parts)
 
 
 def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
-    def fn(g: np.ndarray) -> None:
-        full = np.zeros_like(x.data)
-        full[..., start:stop] = g
-        _accum(x, full)
+    shape, dtype = x.shape, x.data.dtype
 
-    return _out(np.ascontiguousarray(x.data[..., start:stop]), fn)
+    def fn(g: np.ndarray, sx: _Slot) -> None:
+        full = np.zeros(shape, dtype)
+        full[..., start:stop] = g
+        _accum_own(sx, full)
+
+    return _out(np.ascontiguousarray(x.data[..., start:stop]), fn, x)
 
 
 def slice_rows(x: Tensor, start: int, stop: int, b: int = 1) -> Tensor:
@@ -1270,22 +1387,23 @@ def slice_rows(x: Tensor, start: int, stop: int, b: int = 1) -> Tensor:
     if x.shape[0] % b:
         raise ShapeError(f"slice_rows: {x.shape[0]} rows are not {b} groups")
     groups = x.data.reshape((b, -1) + x.shape[1:])
+    shape, dtype = x.shape, x.data.dtype
 
-    def fn(g: np.ndarray) -> None:
-        full = np.zeros_like(groups)
-        full[:, start:stop] = g.reshape((b, -1) + x.shape[1:])
-        _accum(x, full.reshape(x.shape))
+    def fn(g: np.ndarray, sx: _Slot) -> None:
+        full = np.zeros((b, shape[0] // b) + shape[1:], dtype)
+        full[:, start:stop] = g.reshape((b, -1) + shape[1:])
+        _accum_own(sx, full.reshape(shape))
 
-    return _out(np.array(groups[:, start:stop]).reshape((-1,) + x.shape[1:]), fn)
+    return _out(np.array(groups[:, start:stop]).reshape((-1,) + shape[1:]), fn, x)
 
 
 def reshape(x: Tensor, shape: Iterable[int]) -> Tensor:
-    shape = tuple(shape)
+    shape, x_shape = tuple(shape), x.shape
 
-    def fn(g: np.ndarray) -> None:
-        _accum(x, g.reshape(x.shape))
+    def fn(g: np.ndarray, sx: _Slot) -> None:
+        _accum(sx, g.reshape(x_shape))
 
-    return _out(x.data.reshape(shape), fn)
+    return _out(x.data.reshape(shape), fn, x)
 
 
 def sum_all(x: Tensor, b: int = 1) -> Tensor:
@@ -1293,27 +1411,30 @@ def sum_all(x: Tensor, b: int = 1) -> Tensor:
     if x.data.size % b:
         raise ShapeError(f"sum_all: {x.data.size} elements are not {b} parts")
     parts = x.data.reshape(b, -1)
+    parts_shape, shape = parts.shape, x.shape
 
-    def fn(g: np.ndarray) -> None:
-        _accum(x, np.broadcast_to(g[:, None], parts.shape).reshape(x.shape))
+    def fn(g: np.ndarray, sx: _Slot) -> None:
+        _accum(sx, np.broadcast_to(g[:, None], parts_shape).reshape(shape))
 
-    return _out(parts.sum(axis=1), fn)
+    return _out(parts.sum(axis=1), fn, x)
 
 
 def mean_all(x: Tensor) -> Tensor:
-    n = x.data.size
+    n, shape, dtype = x.data.size, x.shape, x.data.dtype
 
-    def fn(g: np.ndarray) -> None:
-        _accum(x, np.full_like(x.data, g.reshape(-1)[0] / n))
+    def fn(g: np.ndarray, sx: _Slot) -> None:
+        _accum_own(sx, np.full(shape, g.reshape(-1)[0] / n, dtype))
 
-    return _out(np.asarray([x.data.mean()], dtype=x.data.dtype), fn)
+    return _out(np.asarray([x.data.mean()], dtype=dtype), fn, x)
 
 
 def abs_all(x: Tensor) -> Tensor:
-    def fn(g: np.ndarray) -> None:
-        _accum(x, g * np.sign(x.data))
+    xd = x.data
 
-    return _out(np.abs(x.data), fn)
+    def fn(g: np.ndarray, sx: _Slot) -> None:
+        _accum_own(sx, g * np.sign(xd))
+
+    return _out(np.abs(xd), fn, x)
 
 
 def bce_with_logits(logits: Tensor, target: Tensor) -> Tensor:
@@ -1325,12 +1446,12 @@ def bce_with_logits(logits: Tensor, target: Tensor) -> Tensor:
     loss = np.maximum(z, 0) - z * t + np.log1p(np.exp(-np.abs(z)))
     n = z.size
 
-    def fn(g: np.ndarray) -> None:
+    def fn(g: np.ndarray, sz: _Slot) -> None:
         with np.errstate(over="ignore"):  # exp(-z) is inf below about -88: sigmoid 0
             sig = 1.0 / (1.0 + np.exp(-z))
-        _accum(logits, (g.reshape(-1)[0] / n) * (sig - t))
+        _accum_own(sz, (g.reshape(-1)[0] / n) * (sig - t))
 
-    return _out(np.asarray([loss.mean()], dtype=z.dtype), fn)
+    return _out(np.asarray([loss.mean()], dtype=z.dtype), fn, logits)
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -1348,10 +1469,10 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     picked = z[np.arange(n), labels]
     loss = (lse - picked).mean()
 
-    def fn(g: np.ndarray) -> None:
+    def fn(g: np.ndarray, sz: _Slot) -> None:
         p = np.exp(z)
         p /= p.sum(axis=1, keepdims=True)
         p[np.arange(n), labels] -= 1.0
-        _accum(logits, (g.reshape(-1)[0] / n) * p)
+        _accum_own(sz, (g.reshape(-1)[0] / n) * p)
 
-    return _out(np.asarray([loss], dtype=z.dtype), fn)
+    return _out(np.asarray([loss], dtype=z.dtype), fn, logits)

@@ -771,6 +771,41 @@ def test_backward_frees_each_gradient_once_its_closure_has_run():
     assert grads[0] == grads[1]
 
 
+def _held_by(fn) -> list:
+    """Everything a closure holds, through the closures, lists and tuples it holds."""
+    held, stack, seen = [], [fn], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        held.append(obj)
+        if isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        for cell in getattr(obj, "__closure__", None) or ():
+            try:
+                stack.append(cell.cell_contents)
+            except ValueError:  # a cell not yet bound
+                pass
+    return held
+
+
+@pytest.mark.parametrize("head", sorted(HEADS))
+def test_tape_records_hold_arrays_and_slots_not_tensors(head):
+    # a record that held a Tensor would keep that Tensor's values until
+    # backward reached it, whether or not its backward reads them
+    m = _gated_model(input_hw=(64, 64), **HEADS[head])
+    img1, img2, target = m.stack_batch(_batch(Rng(48), 2, hw=(64, 64), **HEADS[head]))
+    with Tape() as tape:
+        loss = m.loss(m.forward(img1, img2), target)
+        held = [obj for _, fn in tape._records for obj in _held_by(fn)]
+        assert len(tape._records) > 100
+        assert not [obj for obj in held if isinstance(obj, T.Tensor)]
+        assert any(isinstance(obj, np.ndarray) for obj in held)
+        tape.clear()
+    del loss
+
+
 def _copying_concat_rows(concat_rows):
     """concat_rows as it was before one part was returned as it is: a copy
     of the part, recorded with a backward that passes the gradient on."""

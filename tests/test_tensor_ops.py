@@ -211,6 +211,34 @@ def test_box_sum_and_layer_norm_bits_match_their_references(shape, dtype):
             assert got.dtype == F64 and ((lo <= got) & (got <= hi)).all()
 
 
+def _box_sum_cumsum(a: np.ndarray, window: int) -> np.ndarray:
+    """``T._box_sum`` with its integral image made by two np.cumsum calls:
+    the reference for the bits of its row and column adds."""
+    h, w = a.shape[-3], a.shape[-2]
+    r = window // 2
+    s = np.zeros(a.shape[:-3] + (h + 2 * r + 1, w + 2 * r + 1, a.shape[-1]), dtype=F64)
+    s[..., r + 1 : r + 1 + h, r + 1 : r + 1 + w, :] = a
+    np.cumsum(s, axis=-3, out=s)
+    np.cumsum(s, axis=-2, out=s)
+    lo_i, hi_i = slice(0, h), slice(2 * r + 1, 2 * r + 1 + h)
+    lo_j, hi_j = slice(0, w), slice(2 * r + 1, 2 * r + 1 + w)
+    out = (s[..., hi_i, hi_j, :] - s[..., lo_i, hi_j, :]
+           - s[..., hi_i, lo_j, :] + s[..., lo_i, lo_j, :])
+    return out.astype(a.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 3), (7, 5, 2), (3, 1, 1, 4), (2, 9, 6, 3),
+                                   (8, 16, 16, 16)], ids=lambda s: "x".join(map(str, s)))
+def test_box_sum_has_the_bits_of_its_cumsum_form(shape, dtype):
+    x = _grid(shape, dtype)
+    # all -0.0: np.cumsum adds the +0.0 padding to the first row, which makes
+    # every sum +0.0; a form that copied that row instead would keep -0.0
+    for a in (x, np.full(shape, -0.0, dtype), -np.abs(x)):
+        for window in (3, 5, 7):
+            _assert_same_bits(T._box_sum(a, window), _box_sum_cumsum(a, window))
+
+
 # The numpy erf of the taped and float64 gelu, against scipy's: every 4096th
 # float32 bit pattern of both signs, and the edges of its forms.
 ERF_GRID = np.arange(0, 2**32, 4096, dtype=np.uint64).astype(np.uint32).view(np.float32)
@@ -661,6 +689,63 @@ def test_backward_releases_each_record_before_running_the_one_made_before_it():
     del held
     backward(loss, tape)
     assert freed == [True]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+def test_a_taped_output_that_no_backward_reads_is_freed_when_dropped(dtype):
+    rng = Rng(7)
+    x, y, gain, bias = (Tensor(rng.normal(shape, dtype=dtype)) for shape in ((6, 5), (6, 5), (5,), (5,)))
+    grads = []
+    for keep in (True, False):
+        for t in (x, y, gain, bias):
+            t.grad = None
+        with Tape() as tape:
+            s = T.add(x, y)  # read only by add's and layer_norm's backward: neither keeps it
+            n = T.layer_norm(s, gain, bias)
+            z = T.add(n, x)
+            freed = weakref.ref(s.data), weakref.ref(n.data)
+            kept = [s, n] if keep else []
+            del s, n
+            assert [r() is None for r in freed] == [not keep] * 2
+            backward(T.sum_all(T.mul(z, z)), tape)
+        del kept
+        grads.append([t.grad.tobytes() for t in (x, y, gain, bias)])
+    assert grads[0] == grads[1]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+def test_a_taped_mlp_keeps_its_normalised_rows_its_gelus_input_and_cdf(dtype):
+    b, rows, c, hidden = 8, 64, 16, 64
+    rng = Rng(8)
+    x = Tensor(rng.normal((b * rows, c), dtype=dtype))
+    ws = _mlp_weights(rng, c, hidden, c, dtype)
+    with Tape():  # makes the slots of x and the weights, and _erf's scratch
+        T.mlp(x, *ws, b)
+    with Tape() as tape:
+        tracemalloc.start()
+        try:
+            y = T.mlp(x, *ws, b)
+            kept = tracemalloc.get_traced_memory()[0] - y.data.nbytes
+        finally:
+            tracemalloc.stop()
+        backward(T.sum_all(T.mul(y, y)), tape)
+    n, itemsize = b * rows, np.dtype(dtype).itemsize
+    # the normalised rows [n, c], the GELU's input and its CDF [n, hidden],
+    # each row's 1 / sigma, and the closures and array headers (about 4.5 KB);
+    # not the layer norm's output [n, c] or the GELU's [n, hidden] (32 KB and
+    # more), which backward rebuilds
+    assert (c + 2 * hidden) * n * itemsize <= kept <= (c + 2 * hidden + 1) * n * itemsize + 8192
+
+
+def test_untaped_ops_make_no_slot_and_matmul_and_linear_no_backward():
+    rng = Rng(9)
+    x = Tensor(rng.normal((4, 5), dtype=F64))
+    ws = _mlp_weights(rng, 5, 6, 3, F64)
+    outs = [T.matmul(x, ws[2]), T.linear(x, ws[2], ws[3]), T.mlp(x, *ws), T.gelu(x),
+            T.layer_norm(x, ws[0], ws[1]), T.add(x, x), T.cosine_attention(x, x, x)]
+    assert all(t._slot is None for t in [x, *ws, *outs])
+    assert T._matmul(x.data, ws[2], 1, "matmul")[1] is None
+    assert T._linear(x.data, ws[2], ws[3], 1, "linear")[1] is None
 
 
 def test_backward_rejects_nonscalar_loss():

@@ -1,12 +1,14 @@
 """Print one SHA-256 over a few training steps of each head, in both dtypes.
 
 Builds binary (64 px), density (64 px) and 3-class (32 px) models in float32
-and float64, runs 3 AdamW steps of a batch of 2 random pairs on each, and
+and float64, runs 3 AdamW steps of a batch of 8 random pairs on each, and
 hashes every step's loss, every parameter's gradient and value after the
 step, and the model's ``predict_scores`` on a held-out pair.  Two trees whose
 training arithmetic has the same bits print the same digest; run it on both
-sides of a change that claims so.  pytest does not collect this file; run it
-from the repository root:
+sides of a change that claims so.  The batch is perfbench's training batch:
+at 2 pairs the digest missed a change to the order in which per-sample
+gradients are added, which perfbench's reference losses caught.  pytest
+does not collect this file; run it from the repository root:
 
     PYTHONPATH=src python tests/train_digest.py
 """
@@ -22,7 +24,7 @@ from bisource import AdamW, BiSourceModel, ModelConfig, train_step
 from bisource.tensor import Rng
 
 STEPS = 3
-BATCH = 2
+BATCH = 8
 HEADS = (("binary", {}, 64), ("density", {}, 64), ("multiclass", {"n_classes": 3}, 32))
 
 
