@@ -86,11 +86,12 @@ class SourcePair:
 class ParamRegistry:
     """Ordered name -> Parameter map shared by all weight containers.
 
-    It makes every parameter: initial values are drawn from ``rng`` in
-    ``dtype``, in the order the containers ask for them.
+    It makes every parameter in ``dtype``, in the order the containers ask
+    for them.  With an ``rng`` it draws their initial values from it; with
+    none it leaves the values unset (``np.empty``) for a checkpoint to fill.
     """
 
-    def __init__(self, rng: Rng, dtype) -> None:
+    def __init__(self, rng: Rng | None, dtype) -> None:
         self.rng = rng
         self.dtype = dtype
         self._params: dict[str, Parameter] = {}
@@ -98,14 +99,16 @@ class ParamRegistry:
     def make(self, name: str, shape, init: str) -> Parameter:
         if name in self._params:
             raise ValueError(f"duplicate parameter {name}")
-        if init == "trunc_normal":
+        if init not in ("trunc_normal", "zeros", "ones"):
+            raise ValueError(init)
+        if self.rng is None:
+            data = np.empty(shape, dtype=self.dtype)
+        elif init == "trunc_normal":
             data = self.rng.trunc_normal(shape, std=0.02, dtype=self.dtype)
         elif init == "zeros":
             data = np.zeros(shape, dtype=self.dtype)
-        elif init == "ones":
-            data = np.ones(shape, dtype=self.dtype)
         else:
-            raise ValueError(init)
+            data = np.ones(shape, dtype=self.dtype)
         p = Parameter(Tensor(data), name)
         self._params[name] = p
         return p

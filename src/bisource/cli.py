@@ -115,7 +115,10 @@ def _save_checkpoint(path: Path, model: BiSourceModel) -> None:
 def load_checkpoint(path: str | Path) -> BiSourceModel:
     """Rebuild the model a checkpoint holds, in the dtype of its parameters.
 
-    Every error is one ValueError that starts with the checkpoint's path.
+    The model is built with no initial draw and filled from the checkpoint
+    (``BiSourceModel.from_state``), so a load holds the file's arrays and the
+    parameters, and no gradients.  Every error is one ValueError that starts
+    with the checkpoint's path.
     """
     arrays, header = load_tensor_dir(path)
     dtypes = {a.dtype for a in arrays.values()}
@@ -124,16 +127,15 @@ def load_checkpoint(path: str | Path) -> BiSourceModel:
     if "model_config" not in header:
         raise ValueError(f"{path}: checkpoint header has no 'model_config'")
     try:
-        model = BiSourceModel(ModelConfig.from_json(header["model_config"]),
-                              seed=int(header.get("seed", 0)), dtype=dtypes.pop().type)
+        config = ModelConfig.from_json(header["model_config"])
+        seed = int(header.get("seed", 0))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: checkpoint header 'model_config' or 'seed' is malformed: "
                          f"{type(exc).__name__}: {exc}") from None
     try:
-        model.load_state(arrays)
+        return BiSourceModel.from_state(config, arrays, seed=seed, dtype=dtypes.pop().type)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return model
 
 
 def _check_train_flags(o: argparse.Namespace) -> None:

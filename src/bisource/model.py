@@ -153,10 +153,24 @@ class TaskHead:
 
 class BiSourceModel:
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32) -> None:
+        """Parameters drawn from ``Rng(seed)`` in ``dtype``."""
+        self._build(config, seed, dtype, Rng(seed))
+
+    @classmethod
+    def from_state(cls, config: ModelConfig, arrays: dict[str, np.ndarray], seed: int = 0,
+                   dtype=np.float32) -> "BiSourceModel":
+        """The model ``BiSourceModel(config, seed, dtype)`` becomes after
+        ``load_state(arrays)``, built without drawing an init to overwrite."""
+        model = cls.__new__(cls)
+        model._build(config, seed, dtype, None)
+        model.load_state(arrays)
+        return model
+
+    def _build(self, config: ModelConfig, seed: int, dtype, rng: Rng | None) -> None:
         self.config = config
         self.seed = seed
         self.dtype = dtype
-        self.registry = reg = ParamRegistry(Rng(seed), dtype)
+        self.registry = reg = ParamRegistry(rng, dtype)
         c = config.base_channels
         in_h, in_w = config.input_hw
 
@@ -359,7 +373,10 @@ class BiSourceModel:
         return {p.name: p.value.data.copy() for p in self.parameters()}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Set every parameter from ``arrays``, or raise and change none."""
+        """Set every parameter from ``arrays``, or raise and change none.
+
+        Arrays already in the model's dtype are checked as they are, not
+        copied, so each parameter's ``assign`` is the one copy."""
         named = self.registry.named()
         for problem, names in (("missing", set(named) - set(arrays)),
                                ("has unknown", set(arrays) - set(named))):
@@ -370,7 +387,7 @@ class BiSourceModel:
             a = arrays[name]
             if tuple(a.shape) != p.value.shape:
                 raise ValueError(f"{name}: checkpoint shape {a.shape} != model {p.value.shape}")
-            values[name] = a.astype(p.value.data.dtype)
+            values[name] = a.astype(p.value.data.dtype, copy=False)
             if not T.all_finite(values[name]):
                 raise ValueError(f"{name}: NaN or Inf in the checkpoint's values")
         for name, p in named.items():

@@ -9,8 +9,10 @@ or Inf, or finite values whose squares overflow), so it is exact.
 
 A Tensor's gradient lives in its slot (``_Slot``), made the first time a
 taped op records or reads the tensor; ``Tensor.grad`` and ``Parameter.grad``
-read and write it.  Under a Tape an op records its output's slot, not the
-output, with a closure that holds the arrays its backward reads and the
+read and write it.  A Parameter's gradient is made, as zeros, the first time
+``Parameter.grad`` or ``zero_grad`` reads it, so a model that only predicts
+holds no gradient arrays.  Under a Tape an op records its output's slot, not
+the output, with a closure that holds the arrays its backward reads and the
 slots of the inputs it adds into, never a Tensor.  So an output that no
 backward reads, such as one that only ``add``, ``layer_norm``, ``reshape``, a
 slice, a concatenation or ``avg_pool_2d`` takes, is freed as soon as the
@@ -279,19 +281,23 @@ def tensor(values, dtype=np.float32) -> Tensor:
 
 
 class Parameter:
-    """Learnable tensor with a persistent gradient accumulator."""
+    """Learnable tensor with a persistent gradient accumulator.
+
+    The accumulator is made, as zeros, the first time ``grad`` or
+    ``zero_grad`` reads it, so a parameter that only predicts holds none."""
 
     __slots__ = ("value", "name")
 
     def __init__(self, value: Tensor, name: str) -> None:
-        value.grad = np.zeros_like(value.data)
         self.value = value
         self.name = name
 
     @property
     def grad(self) -> np.ndarray:
-        assert self.value.grad is not None
-        return self.value.grad
+        g = self.value.grad
+        if g is None:
+            g = self.value.grad = np.zeros_like(self.value.data)
+        return g
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
@@ -508,7 +514,8 @@ def matmul(a: Tensor, w: Tensor, b: int = 1) -> Tensor:
     """a [b*M, K] x w [K, N] for b samples stacked in a's rows: one product
     per sample, so each sample's rows, and its share of w's gradient, have
     the bits of the product on that sample alone (``_accum_per_sample``)."""
-    y, back = _matmul(a.data, w, b, "matmul")
+    with np.errstate(invalid="ignore"):  # an Inf gives NaN, which _out reports
+        y, back = _matmul(a.data, w, b, "matmul")
     return _out(y, _into(back), a)
 
 
@@ -603,7 +610,8 @@ def _linear(x: np.ndarray, w: Tensor, bias: Tensor, b: int, op: str,
 def linear(x: Tensor, w: Tensor, bias: Tensor, b: int = 1) -> Tensor:
     """x [b*M, K] x w [K, N] + bias [N] for b samples stacked in x's rows:
     one product per sample, the bias added in place, and one record."""
-    y, back = _linear(x.data, w, bias, b, "linear")
+    with np.errstate(invalid="ignore"):  # an Inf gives NaN, which _out reports
+        y, back = _linear(x.data, w, bias, b, "linear")
     return _out(y, _into(back), x)
 
 

@@ -205,7 +205,7 @@ def std_forward(p: dict[str, np.ndarray], name: str, comp_op: str,
 # ---------------------------------------------------------------------------
 
 
-def binary_metrics_loops(pred: np.ndarray, gt: np.ndarray) -> dict[str, float]:
+def confusion_counts_loops(pred: np.ndarray, gt: np.ndarray) -> dict[str, int]:
     tp = tn = fp = fn = 0
     for pv, gv in zip(pred.reshape(-1), gt.reshape(-1)):
         if pv and gv:
@@ -216,6 +216,11 @@ def binary_metrics_loops(pred: np.ndarray, gt: np.ndarray) -> dict[str, float]:
             fn += 1
         else:
             tn += 1
+    return {"tp": tp, "tn": tn, "fp": fp, "fn": fn}
+
+
+def binary_metrics_loops(pred: np.ndarray, gt: np.ndarray) -> dict[str, float]:
+    tp, tn, fp, fn = confusion_counts_loops(pred, gt).values()
     div = lambda a, b: a / b if b else 0.0
     return {
         "Pre": div(tp, tp + fp),

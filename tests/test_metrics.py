@@ -22,6 +22,7 @@ from bisource.metrics import (
 
 from oracles import (
     binary_metrics_loops,
+    confusion_counts_loops,
     fbeta_sweep_loops,
     fraction_correct_loops,
     grid_error_divisible,
@@ -95,6 +96,25 @@ def test_zero_denominator_flagged():
 def test_confusion_rejects_nonbinary():
     with pytest.raises(ValueError):
         confusion_binary(np.full((2, 2), 2, np.uint8), np.zeros((2, 2), np.uint8))
+    with pytest.raises(ValueError, match=r"^gt is not binary \(values \[.*nan\]\)$"):
+        confusion_binary(np.zeros(3, np.uint8), np.array([0.0, 1.0, np.nan]))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, bool])
+@pytest.mark.parametrize("kind", ["random", "zeros", "ones", "mixed"])
+def test_confusion_counts_match_a_pixel_loop(kind, dtype):
+    r = rng(5)
+    random = lambda: r.random((64, 64)) > 0.5
+    pred, gt = {
+        "random": (random(), random()),
+        "zeros": (np.zeros((64, 64)), np.zeros((64, 64))),
+        "ones": (np.ones((64, 64)), np.ones((64, 64))),
+        "mixed": (np.zeros((64, 64)), np.ones((64, 64))),
+    }[kind]
+    pred, gt = pred.astype(dtype), gt.astype(dtype)
+    c = confusion_binary(pred, gt)
+    assert {"tp": c.tp, "tn": c.tn, "fp": c.fp, "fn": c.fn} == confusion_counts_loops(pred, gt)
+    assert all(type(v) is int for v in (c.tp, c.tn, c.fp, c.fn))
 
 
 def test_binary_permutation_invariance():

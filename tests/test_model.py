@@ -5,6 +5,7 @@ import hashlib
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -327,6 +328,62 @@ def test_float64_checkpoint_loads_as_float64(tmp_path):
     i1, i2 = rand_pair(Rng(18))
     assert m.predict_scores(i1, i2).tobytes() == m2.predict_scores(i1, i2).tobytes()
     assert m.predict(i1, i2).tobytes() == m2.predict(i1, i2).tobytes()
+
+
+def _trained_checkpoint(tmp_path, seed=4):
+    """A checkpoint whose values are one step away from the seeded init."""
+    m = BiSourceModel(small_config(), seed=seed)
+    rng = Rng(19)
+    i1, i2 = rand_pair(rng)
+    target = (rng.uniform((32, 32), 0.0, 1.0) > 0.5).astype(np.float32)
+    train_step(m, [(i1, i2, target)], AdamW(m.parameters(), lr=1e-2))
+    _save_checkpoint(tmp_path / "ckpt", m)
+    return tmp_path / "ckpt"
+
+
+def test_load_checkpoint_draws_nothing_and_matches_a_seeded_model_loaded(tmp_path, monkeypatch):
+    path = _trained_checkpoint(tmp_path)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew an initial value")
+
+    monkeypatch.setattr(Rng, "trunc_normal", no_draw)
+    loaded = load_checkpoint(path)
+    monkeypatch.undo()
+    want = BiSourceModel(loaded.config, seed=4)
+    want.load_state(load_tensor_dir(path)[0])
+    assert [(p.name, p.value.data.dtype, p.value.data.tobytes()) for p in loaded.parameters()] == \
+        [(p.name, p.value.data.dtype, p.value.data.tobytes()) for p in want.parameters()]
+    assert {n: a.tobytes() for n, a in loaded.state_arrays().items()} == \
+        {n: a.tobytes() for n, a in want.state_arrays().items()}
+    i1, i2 = rand_pair(Rng(20))
+    assert loaded.predict(i1, i2).tobytes() == want.predict(i1, i2).tobytes()
+
+
+def test_a_model_holds_gradients_only_once_it_trains(tmp_path):
+    i1, i2 = rand_pair(Rng(21))
+    for m in (load_checkpoint(_trained_checkpoint(tmp_path)), BiSourceModel(small_config(), seed=0)):
+        m.predict(i1, i2)
+        assert [p.name for p in m.parameters() if p.value.grad is not None] == []
+        target = np.zeros((32, 32), np.float32)
+        train_step(m, [(i1, i2, target)], AdamW(m.parameters(), lr=1e-3))
+        assert [p.name for p in m.parameters() if p.value.grad is None] == []
+
+
+def test_load_checkpoint_holds_at_most_the_file_and_the_parameters(tmp_path):
+    m = BiSourceModel(small_config(base_channels=16, input_hw=(64, 64)), seed=0)
+    weights = sum(p.value.data.nbytes for p in m.parameters())
+    _save_checkpoint(tmp_path / "ckpt", m)
+    del m
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.num_parameters() * 4 == weights
+    # the checkpoint's arrays and the parameters, with no init drawn, staged or kept beside them
+    assert peak <= 2.5 * weights, peak / weights
 
 
 def test_load_state_missing_param_raises():

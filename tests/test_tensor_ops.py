@@ -574,6 +574,19 @@ def test_fused_ops_name_themselves_on_a_non_finite_input(bad, taped):
 
 
 @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_matmul_names_itself_on_a_non_finite_input(bad, taped):
+    # an Inf times a zero weight is NaN: numpy would warn, the op only raises
+    a = np.ones((4, 3), np.float32)
+    a[1, 0] = bad
+    w = np.ones((3, 2), np.float32)
+    w[0] = 0.0
+    with Tape() if taped else contextlib.nullcontext():
+        with pytest.raises(NumericalError, match="^matmul: "):
+            T.matmul(Tensor(a), Tensor(w), 2)
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
 def test_cosine_attention_is_finite_where_its_weighted_sum_of_values_overflows(taped):
     # in sample 0 every cosine is 1, so each of the 4 probabilities is 1/4 and
     # the output is 1e38; the untaped sum of exp(1) v over its keys, 1.1e39,
