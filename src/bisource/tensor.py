@@ -48,11 +48,15 @@ thread outlives a call, and a forked child inherits none.  The helper runs
 numpy only: it creates no Tensor, calls no public op and records nothing, so
 ``alloc_stats``, the Tape and anything that wraps the public ops see the call
 from the calling thread alone.  Blocks are the same with one CPU or two, so
-the output bits are too.  The untaped path divides each block's product with
-the values and a ones column instead of normalising the probabilities, and
-skips the max shift for a sample whose scores are bounded by
-ATTN_SHIFT_LIMIT; its output agrees with the taped path's to float rounding
-(a few 1e-6 of the peak in float32), not bit for bit.
+the output bits are too.  The untaped path works in the shapes BLAS runs
+fastest and in base 2: a block's scores are key-major, [N, rows], the keys
+times the block's queries scaled by scale log2(e), and take exp2.  The
+product of the sample's values, transposed with a ones row beneath them, and
+those [N, rows] probabilities gives each query's sum p v and sum p, and the
+output is their quotient, so the probabilities are never normalised.  A
+sample whose scores are bounded by ATTN_SHIFT_LIMIT skips the max shift.  The
+untaped output agrees with the taped path's to float rounding (a few 1e-6 of
+the peak in float32), not bit for bit.
 
 ``gelu`` needs erf, which numpy lacks: taped and float64 calls take
 ``_erf``, W. J. Cody's rational forms as Cephes evaluates them, in float64
@@ -61,14 +65,16 @@ buffers each thread keeps (``_erf_kept``), so what a call allocates does not
 depend on its data.  Its float32 results have the bits of scipy's float32
 erf; its float64 ones are within 2 ulp of scipy's.
 
-Untaped float32 calls of ``gelu``, ``layer_norm`` and ``avg_pool_2d`` are
-inference calls (``_inference``): no gradient and no float64 replay depends on
-their bits, so they take forms that cost about their arithmetic.  ``gelu``
-takes a clamped rational float32 erf, within 2.5e-7 |x| of the float64 GELU;
-``avg_pool_2d`` adds shifted float32 slices, within window^2 float32 epsilons
-of the window's mean |x|; ``layer_norm`` takes its row moments as einsum dot
-products, within 8 float32 epsilons of the row's scale |gain| max|x| / sigma
-+ |bias|.  Each gives a sample the bits it has alone.  Taped calls and float64
+Untaped float32 calls of ``gelu``, ``layer_norm``, ``avg_pool_2d`` and
+``bilinear_upsample_2x`` are inference calls (``_inference``): no gradient
+and no float64 replay depends on their bits, so they take forms that cost
+about their arithmetic.  ``gelu`` takes a clamped rational float32 erf,
+within 2.5e-7 |x| of the float64 GELU; ``avg_pool_2d`` adds shifted float32
+slices, within window^2 float32 epsilons of the window's mean |x|;
+``layer_norm`` takes its row moments as einsum dot products, within 8 float32
+epsilons of the row's scale |gain| max|x| / sigma + |bias|;
+``bilinear_upsample_2x`` takes two BLAS products, within 2 float32 epsilons
+of max|x|.  Each gives a sample the bits it has alone.  Taped calls and float64
 calls keep the exact forms, bit for bit.
 
 Each piece of math is written once, in a private kernel that takes arrays
@@ -90,8 +96,10 @@ recorded one after another.  ``linear`` and ``mlp`` have the chain's bits in
 every mode, and a NaN or Inf anywhere in them is reported as the fused op's.
 Untaped ``cosine_attention``, in either dtype, takes exp of each sample's
 cosine scores, which lie in [-1, 1], with no shift, and divides their product
-with the values and a ones column by the row sums, one product per sample:
-within 4 epsilons of the sample's max|v| of a float64 oracle (measured 0.96
+with the values and a ones column by the row sums, one product per sample;
+with fewer queries than value columns it sums the rows of the exps instead
+of copying the values beside a ones column.  Either way it is within 4
+epsilons of the sample's max|v| of a float64 oracle (measured 0.96
 in float32), not the taped bits.
 """
 
@@ -155,24 +163,31 @@ __all__ = [
 NORM_EPS = 1e-8
 LN_EPS = 1e-5
 # Query rows per score block in untaped attention_rows; with at most two
-# blocks in flight, live scores stay within 256 x N.  On a 2-vCPU VM (float32,
-# d = 16, one BLAS thread per thread) a 2 x 4096-token call took 86.7 / 85.3 /
-# 82.2 / 87.8 ms on one thread at 64 / 128 / 256 / 512 rows and 42.8 / 41.5 /
-# 43.0 / 43.9 ms shared with the helper (medians of 7 alternating rounds):
-# the fastest on two threads, where such calls run, and half the live scores
-# of 256.
+# blocks in flight, live scores stay within 256 x N.  tests/attention_timing.py
+# on a 2-vCPU VM (float32, one BLAS thread per thread): the 2 x 4096-token,
+# d = 16 call took 45.3 / 41.5 / 44.4 / 47.1 ms on one thread at 32 / 64 /
+# 128 / 256 rows and 29.1 / 26.1 / 27.2 / 26.7 ms shared with the helper
+# (medians of 7 alternating rounds).  64 rows make the fastest call alone, but
+# a 256 px density prediction (--requests) took 1,264 minor page faults and
+# 3.7 ms of system time at 64 rows against 6 and 0.0 ms at 128 on two CPUs,
+# and 4,361 against 1,258 faults on one: at 64 rows the call's work
+# allocation (see attention_rows) is 2.7 MB, too small for huge pages or to
+# keep malloc from trimming the heap.  perfbench's density pairs/s read 9.60
+# at 64 rows and 10.91 at 128 (medians of 6 alternated runs).
 ATTN_ROW_BLOCK = 128
 # The helper thread takes part only in calls of more than this many scores
-# (b x M x N).  Medians of 15 alternating one- and two-thread calls on the
-# same VM, two threads against one: at or below it, b x 256 tokens 1.20
-# (b = 2) and 1.13 (4), 1 x 384 1.00 and 1 x 512 0.96 of the time; above it,
-# 8 x 256 1.02, 2 x 512 0.82, 1 x 1024 0.72 and 2 x 1024 (d = 32) 0.66.
-ATTN_HELPER_SCORES = 2**18
+# (b x M x N).  tests/attention_timing.py --helper, medians of 15 alternating
+# rounds on the same VM, two threads against one: at or below it, b x 256
+# tokens (d = 16) 1.87 (b = 2), 1.39 (4) and 1.21 (8), 2 x 512 1.29 and
+# 1 x 1024 1.22 (1.15 at d = 32); above it, 2 x 1024 1.14 at d = 16 but 0.70
+# at d = 32 (the model's shape), 1 x 2048 0.72 and 2 x 4096 0.54.
+ATTN_HELPER_SCORES = 2**20
 # Untaped attention_rows takes exp of a sample's raw scores, without the max
 # shift, when its bound on |score| (_attention_shifts) is at most this:
 # exp(+-30) = 1.1e13 and 9.4e-14 leave room in float32, whose largest value
 # is 3.4e38, for row sums over billions of keys.
 ATTN_SHIFT_LIMIT = 30.0
+_LOG2E = math.log2(math.e)
 
 try:
     _CPUS = len(os.sched_getaffinity(0))  # the CPUs this process may run on
@@ -895,23 +910,26 @@ def attention_rows(q: Tensor, k: Tensor, v: Tensor, scale: float, b: int = 1) ->
     With a Tape active this is one record whose output and gradients are
     those of the chain transpose, matmul, mul_scalar, softmax_rows, matmul,
     bit for bit, with the b samples' products done by one batched matmul.
-    Without one, ``scale`` is folded into q and each sample's scores are built
-    ATTN_ROW_BLOCK query rows at a time, by this thread and, for calls of
-    more than one block and more than ATTN_HELPER_SCORES scores on two or
-    more CPUs, a helper thread that the call starts and joins.  Every block
-    sees all of its sample's keys, and no more than 2 x ATTN_ROW_BLOCK x N
-    scores are held at once.
-    A block makes two elementwise passes over its scores when they need no
-    shift: exp, and the product with the sample's values and a ones column,
-    which gives each row's sum p v and sum p; the [rows, dv] quotient is the
-    output.  The exp is of the raw scores when the sample's bound
-    max_i |q_i| max_j |k_j| on them is at most ATTN_SHIFT_LIMIT and the
-    value product cannot overflow; otherwise each row is first shifted by
-    its max plus ln N.  The decision is the sample's own, so a batch's
-    samples keep their one-sample bits.  The untaped output is not the
-    taped one bit for bit: in float32 both lie within a few 1e-6 of the
-    output's peak from a float64 replay, and no input for which the taped
-    path is finite makes this path raise.
+    Without one, each sample's scores are built ATTN_ROW_BLOCK query rows at
+    a time, by this thread and, for calls of more than one block and more
+    than ATTN_HELPER_SCORES scores on two or more CPUs, a helper thread that
+    the call starts and joins.  Every block sees all of its sample's keys,
+    and no more than 2 x ATTN_ROW_BLOCK x N scores are held at once.
+    A block's scores are key-major and in base 2: z [N, rows] is the
+    sample's keys times the block's queries, scaled by scale log2(e),
+    transposed, and exp2(z) = exp(scale q k^T).  The product of the sample's
+    values, transposed, with a ones row beneath them, [dv + 1, N], and z
+    gives each query's sum p v and sum p, and the first dv rows divided by
+    the last are the block's output, written through a transposed view.  So
+    a block makes two elementwise passes over its scores when they need no
+    shift.  exp2 takes the raw scores when the sample's bound
+    |scale| max_i |q_i| max_j |k_j| on them is at most ATTN_SHIFT_LIMIT (in
+    natural units) and the value product cannot overflow; otherwise each
+    query's scores are first shifted by their max plus log2 N.  The decision
+    is the sample's own, so a batch's samples keep their one-sample bits.
+    The untaped output is not the taped one bit for bit: in float32 both lie
+    within a few 1e-6 of the output's peak from a float64 replay, and no
+    input for which the taped path is finite makes this path raise.
     """
     if (q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2
             or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]
@@ -930,92 +948,112 @@ def attention_rows(q: Tensor, k: Tensor, v: Tensor, scale: float, b: int = 1) ->
             _accum(sk, _transposed_groups(np.matmul(_t(q3), gs)))
 
         return _out(out.reshape(q.shape[0], v.shape[1]), fn, q, k)
-    qs = q.data * scale
-    kt = _t(k3)
-    dtype = np.result_type(qs, kt, v.data)
-    m, n, dv = q3.shape[1], k3.shape[1], v.shape[1]
-    shift = _attention_shifts(qs.reshape(q3.shape), k3, v3)
-    # each sample's values and a ones column: one product gives sum p v and sum p
-    va = np.empty((b, n, dv + 1), dtype=dtype)
-    va[:, :, :dv] = v3
-    va[:, :, dv] = 1
-    out = np.empty((q.shape[0], dv), dtype=dtype)
+    dtype = np.result_type(q.data, k.data, v.data)
+    m, n, d, dv = q3.shape[1], k3.shape[1], q.shape[1], v.shape[1]
+    shift = _attention_shifts(q3, k3, v3, scale)
     n_blocks = b * -(-m // ATTN_ROW_BLOCK)
     threads = 2 if n_blocks > 1 and b * m * n > ATTN_HELPER_SCORES and _CPUS >= 2 else 1
-    bufs = np.empty((threads, min(ATTN_ROW_BLOCK, m), n), dtype=np.result_type(qs, kt))
+    # One allocation holds the call's work arrays: each sample's values,
+    # transposed, with a ones row, and each thread's scores and scaled query
+    # rows.  At the 256 px stage-1 shape on two threads it is 4.8 MB, which
+    # numpy asks the kernel to back with huge pages (from 4 MiB), and freed,
+    # it raises glibc's mmap threshold, above which malloc maps blocks afresh,
+    # and its heap trim threshold with it.  With these arrays made apart, a
+    # 256 px density prediction faulted in about 1,500 pages on two CPUs and
+    # 3,500 on one, in attention_rows, mlp and layer_norm alike; with one
+    # allocation, 6 and 1,258 (tests/attention_timing.py --requests).
+    per_thread, n_vt = min(ATTN_ROW_BLOCK, m) * (n + d), b * (dv + 1) * n
+    work = np.empty(n_vt + threads * per_thread, dtype=dtype)
+    vt, bufs = work[:n_vt].reshape(b, dv + 1, n), work[n_vt:].reshape(threads, per_thread)
+    # one product with the ones row gives each query's sum p v and sum p
+    vt[:, :dv] = _t(v3)
+    vt[:, dv] = 1
+    out = np.empty((q.shape[0], dv), dtype=dtype)
+    # scores in base 2: exp2(log2(e) s) = exp(s)
+    factor = scale * _LOG2E
     # shared by both threads: each next() claims one block, atomically under the GIL
     blocks = iter(range(n_blocks))
     if threads == 1:
-        _attention_blocks(qs, kt, va, shift, out, blocks, bufs[0])
+        _attention_blocks(q.data, factor, k3, vt, shift, out, blocks, bufs[0])
     else:
         # leaving the block joins the helper, so nothing returns or raises
         # while it may still write `out`
         with ThreadPoolExecutor(1, thread_name_prefix="bisource-attn") as pool:
-            helper = pool.submit(_attention_blocks, qs, kt, va, shift, out, blocks, bufs[1])
-            _attention_blocks(qs, kt, va, shift, out, blocks, bufs[0])
+            helper = pool.submit(_attention_blocks, q.data, factor, k3, vt, shift, out, blocks, bufs[1])
+            _attention_blocks(q.data, factor, k3, vt, shift, out, blocks, bufs[0])
             helper.result()
     return _out(out, None)
 
 
-def _attention_shifts(qs3: np.ndarray, k3: np.ndarray, v3: np.ndarray) -> list[bool]:
+def _attention_shifts(q3: np.ndarray, k3: np.ndarray, v3: np.ndarray, scale: float) -> list[bool]:
     """Which of b samples' scores untaped attention shifts by the row max.
 
-    A sample's scores obey |s_ij| <= bound = max_i |q_i| max_j |k_j|.  At
-    bound <= ATTN_SHIFT_LIMIT every exp(s_ij) lies within exp(+-bound), so
+    A sample's scores obey |s_ij| <= bound = |scale| max_i |q_i| max_j |k_j|.
+    At bound <= ATTN_SHIFT_LIMIT every exp(s_ij) lies within exp(+-bound), so
     exp of the raw scores neither overflows nor underflows, and no row sum
     (at most N exp(bound)) does; the value product, at most
     N exp(bound) max|v|, must also fit.  A NaN or Inf in q, k or v fails the
     comparisons, so that sample is shifted and the row check reports it.
     """
     # einsum warns of no overflow; a square past the dtype's range is inf
-    q2 = np.einsum("bmd,bmd->bm", qs3, qs3).max(axis=1, initial=0).tolist()
+    q2 = np.einsum("bmd,bmd->bm", q3, q3).max(axis=1, initial=0).tolist()
     k2 = np.einsum("bnd,bnd->bn", k3, k3).max(axis=1, initial=0).tolist()
     vmax = np.abs(v3).max(axis=(1, 2), initial=0).tolist()
-    n, room = k3.shape[1], float(np.finfo(np.result_type(qs3, k3, v3)).max) / 4
+    n, room = k3.shape[1], float(np.finfo(np.result_type(q3, k3, v3)).max) / 4
     shifts = []
     for a, c, vm in zip(q2, k2, vmax):
-        bound = math.sqrt(a * c)
+        bound = abs(scale) * math.sqrt(a * c)
         shifts.append(not (bound <= ATTN_SHIFT_LIMIT and n * math.exp(bound) * vm <= room))
     return shifts
 
 
-def _attention_blocks(qs: np.ndarray, kt: np.ndarray, va: np.ndarray, shift: list[bool],
-                      out: np.ndarray, blocks: Iterator[int], buf: np.ndarray) -> None:
+def _attention_blocks(q: np.ndarray, factor: float, k3: np.ndarray, vt: np.ndarray,
+                      shift: list[bool], out: np.ndarray, blocks: Iterator[int],
+                      buf: np.ndarray) -> None:
     """Fill the blocks of ``out`` that this thread takes from ``blocks`` (numpy only).
 
-    ``kt`` [b, d, N] and ``va`` [b, N, dv + 1] hold each sample's keys, and
-    its values with a ones column; ``shift`` says which samples' scores
-    are shifted (``_attention_shifts``).  ``qs`` and ``out`` hold the
+    ``k3`` [b, N, d] and ``vt`` [b, dv + 1, N] hold each sample's keys, and
+    its values transposed with a ones row; ``shift`` says which samples'
+    scores are shifted (``_attention_shifts``).  ``q`` and ``out`` hold the
     samples' query and output rows one after the other, and block i covers
-    rows of sample i // (blocks per sample).
+    rows of sample i // (blocks per sample).  A block's scores are
+    ``factor`` = scale log2(e) times its queries' products with the keys,
+    key-major, [N, rows] in ``buf``, which also holds the scaled queries.
     """
-    m = qs.shape[0] // kt.shape[0]
+    n, d = k3.shape[1:]
+    m = q.shape[0] // k3.shape[0]
     per_sample = -(-m // ATTN_ROW_BLOCK)
     dv = out.shape[1]
-    log_n = math.log(max(kt.shape[2], 1))
-    pv = np.empty((buf.shape[0], dv + 1), dtype=out.dtype)
+    log2_n = math.log2(max(n, 1))
+    rows = min(ATTN_ROW_BLOCK, m)
+    scores, queries = buf[: n * rows], buf[n * rows :]
+    pv = np.empty((dv + 1) * rows, dtype=out.dtype)
     # a NaN or Inf score is reported by the row check below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for i in blocks:
             sample, block = divmod(i, per_sample)
             start = sample * m + block * ATTN_ROW_BLOCK
-            rows = qs[start : start + min(ATTN_ROW_BLOCK, m - block * ATTN_ROW_BLOCK)]
-            z, o = buf[: rows.shape[0]], pv[: rows.shape[0]]
-            np.matmul(rows, kt[sample], out=z)
+            r = min(ATTN_ROW_BLOCK, m - block * ATTN_ROW_BLOCK)
+            qb = queries[: r * d].reshape(r, d)
+            np.multiply(q[start : start + r], factor, out=qb)
+            # key-major: the N keys are the long side of both BLAS products
+            z = scores[: n * r].reshape(n, r)
+            np.matmul(k3[sample], qb.T, out=z)
             if shift[sample]:
-                # each row's largest entry becomes exp(-ln N) = 1/N and none is
+                # each query's largest score becomes 2^-log2(N) = 1/N and none is
                 # above it, so sum p v stays within max|v|, as the taped path's does
-                z -= z.max(axis=1, keepdims=True) + log_n
-            np.exp(z, out=z)
-            np.matmul(z, va[sample], out=o)
-            total = o[:, dv:]
-            # no probability is negative, so a row's are all finite exactly
-            # when their sum, the product with the ones column, is
+                z -= z.max(axis=0) + log2_n
+            np.exp2(z, out=z)
+            o = pv[: (dv + 1) * r].reshape(dv + 1, r)
+            np.matmul(vt[sample], z, out=o)
+            total = o[dv]
+            # no probability is negative, so a query's are all finite exactly
+            # when their sum, the product with the ones row, is
             if not np.isfinite(total).all():
                 for _ in blocks:  # take the rest, so that the other thread stops too
                     pass
                 raise _non_finite("attention_rows", out)
-            np.divide(o[:, :dv], total, out=out[start : start + rows.shape[0]])
+            np.divide(o[:dv], total, out=out[start : start + r].T)
 
 
 def _cosine(q: Tensor, k: Tensor, b: int, op: str):
@@ -1065,7 +1103,9 @@ def cosine_attention(q: Tensor, k: Tensor, v: Tensor, b: int = 1) -> Tensor:
     Without one, q's and k's rows are normalised with cosine_rows' clamp, so
     each sample's scores lie in [-1, 1] and their exp needs no shift; one
     product of the exps with the sample's values and a ones column gives
-    each row's sum p v and sum p, and the output is their quotient.  Only in
+    each row's sum p v and sum p, and the output is their quotient.  With
+    fewer queries M than value columns dv + 1, the exps' product with the
+    values and their row sums give the same, without the copy.  Only in
     a sample where that quotient is not finite, as when sum p v overflows,
     are the probabilities first divided by their row sums and the product
     taken again; a NaN or Inf in q, k or v still raises.  The output is not
@@ -1083,16 +1123,24 @@ def cosine_attention(q: Tensor, k: Tensor, v: Tensor, b: int = 1) -> Tensor:
         if back_s is not None:
             out, back = _attend(s, _slot(v), v3)
             return _out(out.reshape(q.shape[0], dv), lambda g: back_s(back(g)))
-        # each sample's values and a ones column: one product gives sum p v and sum p
-        va = np.empty(v3.shape[:2] + (dv + 1,), dtype=np.result_type(q.data, k.data, v.data))
-        va[:, :, :dv] = v3
-        va[:, :, dv] = 1
         np.exp(s, out=s)
-        pv = np.matmul(s, va)
-        out = pv[:, :, :dv] / pv[:, :, dv:]
+        if s.shape[1] < dv + 1:
+            # fewer queries than value columns: summing p's rows costs less
+            # than copying the values beside a ones column
+            out = np.matmul(s, v3)
+            total = s.sum(axis=2, keepdims=True)
+            out /= total
+        else:
+            # each sample's values and a ones column: one product gives sum p v and sum p
+            va = np.empty(v3.shape[:2] + (dv + 1,), dtype=np.result_type(q.data, k.data, v.data))
+            va[:, :, :dv] = v3
+            va[:, :, dv] = 1
+            pv = np.matmul(s, va)
+            total = pv[:, :, dv:]
+            out = pv[:, :, :dv] / total
         if not all_finite(out):  # sum p v overflowed, or an input is not finite
             redo = ~np.isfinite(out).all(axis=(1, 2))  # samples alone, for their bits
-            s[redo] /= pv[redo, :, dv:]
+            s[redo] /= total[redo]
             out[redo] = np.matmul(s[redo], v3[redo])
     return _out(out.reshape(q.shape[0], dv), None)
 
@@ -1299,12 +1347,26 @@ def _interp_matrix(h: int, dtype) -> np.ndarray:
 
 
 def bilinear_upsample_2x(x: Tensor) -> Tensor:
-    """[H, W, C] -> [2H, 2W, C], or each sample of [B, H, W, C]."""
+    """[H, W, C] -> [2H, 2W, C], or each sample of [B, H, W, C].
+
+    Each output is a convex combination of at most four inputs.  An
+    inference call (``_inference``) takes two BLAS products with the
+    interpolation matrices, first over H, then over W, instead of two
+    einsums: within 2 float32 epsilons of max|x| of the float64 form
+    (measured 0.7).  Taped and float64 calls keep the einsums' bits.
+    """
     if x.data.ndim not in (3, 4):
         raise ShapeError("bilinear_upsample_2x: expects [H, W, C] or [B, H, W, C]")
-    h, w = x.shape[-3:-1]
+    h, w, c = x.shape[-3:]
     uh = _interp_matrix(h, x.data.dtype)
     uw = _interp_matrix(w, x.data.dtype)
+    if _inference(x.data):
+        y = np.matmul(uh, x.data.reshape(-1, h, w * c))
+        if c == 1:  # one product a sample, not one a row
+            y = np.matmul(y, uw.T)
+        else:
+            y = np.matmul(uw, y.reshape(-1, w, c))
+        return _out(y.reshape(x.shape[:-3] + (2 * h, 2 * w, c)), None)
     y = np.einsum("ph,...hwc->...pwc", uh, x.data)
     y = np.einsum("qw,...pwc->...pqc", uw, y)
 

@@ -658,6 +658,22 @@ def test_upsample_matches_pixel_loop_oracle():
     np.testing.assert_allclose(out, oracles.bilinear_up2_loops(x), atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(1, 128, 128, 1), (1, 32, 32, 32), (2, 8, 8, 3), (3, 4, 2), (5, 1, 1)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_upsample_inference_is_within_2_epsilons_of_max_x_of_float64(shape):
+    x = Rng(len(shape) + shape[-1]).normal(shape, dtype=np.float32)
+    want = T.bilinear_upsample_2x(Tensor(x.astype(F64))).data
+    got = T.bilinear_upsample_2x(Tensor(x)).data
+    assert got.dtype == np.float32 and got.shape == want.shape
+    # measured at most 0.7 float32 epsilons of max|x|
+    assert np.abs(got - want).max() <= 2 * np.finfo(np.float32).eps * np.abs(x).max()
+    with Tape():  # a taped call keeps the einsums' bits
+        taped = T.bilinear_upsample_2x(Tensor(x)).data
+    h, w = shape[-3:-1]
+    y = np.einsum("ph,...hwc->...pwc", T._interp_matrix(h, np.float32), x)
+    assert taped.tobytes() == np.einsum("qw,...pwc->...pqc", T._interp_matrix(w, np.float32), y).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # backward / tape
 # ---------------------------------------------------------------------------
@@ -925,7 +941,8 @@ def test_every_op_gradient_five_seeds(op_name):
 
 
 ATTN_KEYS = 300  # key rows; the query row counts below cross block edges
-ATTN_ROWS = [1, 255, 256, 257, 4096]
+_BLOCK = T.ATTN_ROW_BLOCK
+ATTN_ROWS = sorted({1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 255, 256, 257, 4096})
 
 
 def _attention_chain(q, k, v, scale):
@@ -1066,7 +1083,7 @@ def test_weight_gradients_of_a_batch_are_those_of_one_record_per_sample(op):
 
 def test_attention_rows_untaped_samples_see_only_their_keys(two_cpus):
     # a batch large enough for the helper thread, with blocks crossing samples
-    b, rows = 3, 300
+    b, rows = 3, 600
     q, k, v = (_samples(b, rows, 16, np.float32) for _ in range(3))
     assert b * rows * rows > T.ATTN_HELPER_SCORES
     got = T.attention_rows(q, k, v, 0.3, b)
@@ -1103,14 +1120,14 @@ def test_attention_rows_untaped_float32_matches_taped(rows):
         got = T.attention_rows(q, k, v, scale).data
         assert got.dtype == np.float32
         assert _peak_error(got, _taped_attention(q, k, v, scale)) <= 1e-5
-        # measured at most 1.3e-6 over these calls, the taped path's 8.2e-7
+        # measured at most 1.1e-6 over these calls, the taped path's 8.2e-7
         assert _peak_error(got, _float64_replay(q, k, v, scale)) <= 4e-6
 
 
 def _shifted(q, k, v, scale, b=1) -> list[bool]:
     """Which samples untaped attention_rows shifts by the row max."""
     q3, k3, v3 = (x.data.reshape(b, -1, x.shape[1]) for x in (q, k, v))
-    return T._attention_shifts(q3 * scale, k3, v3)
+    return T._attention_shifts(q3, k3, v3, scale)
 
 
 def _edge_scale(q, k, factor: float) -> float:
@@ -1145,6 +1162,22 @@ def test_attention_rows_batch_of_shifted_and_unshifted_samples_keeps_each_sample
     for i in range(b):
         alone = [Tensor(x.data[i * rows : (i + 1) * rows]) for x in (q, k, v)]
         assert _rows_of(got, b, i) == T.attention_rows(*alone, 0.3).data.tobytes()
+
+
+@pytest.mark.parametrize("dtype, bound", [(F64, 1e-12), (np.float32, 4e-6)], ids=["float64", "float32"])
+def test_attention_rows_untaped_matches_an_oracle_at_the_density_stage_1_shape(dtype, bound):
+    # b = 2 samples of 4096 tokens, d = 16, as the encoder's first stage at
+    # 256 px; sample 1's queries are scaled past the shift limit
+    b, rows, scale = 2, 4096, 0.25
+    q, k, v = (_samples(b, rows, 16, dtype) for _ in range(3))
+    q = Tensor(q.data * np.repeat([1.0, 20.0], rows)[:, None].astype(dtype))
+    assert _shifted(q, k, v, scale, b) == [False, True]
+    got = T.attention_rows(q, k, v, scale, b).data
+    for i in range(b):
+        qi, ki, vi = (x.data.astype(F64)[i * rows : (i + 1) * rows] for x in (q, k, v))
+        # measured 2.7e-15 and 1.0e-14 in float64; 1.4e-6 and 2.8e-6 in
+        # float32, where the taped path's are 0.7e-6 and 2.6e-6
+        assert _peak_error(got[i * rows : (i + 1) * rows], oracles.attention(qi, ki, vi, scale)) <= bound
 
 
 def test_attention_rows_nan_in_q_raises_on_both_paths():
@@ -1182,6 +1215,16 @@ def test_attention_rows_untaped_large_values_are_finite_where_taped_are(big):
     assert _peak_error(got, want) <= 1e-5
 
 
+def test_attention_rows_untaped_shift_keeps_each_probability_within_1_over_n():
+    # every score is 0, so every probability is at its largest, 1/N after the
+    # shift by log2 N; sum p v = 1e38 then fits float32, as the taped path's does
+    q, k, v = _qkv(300, 16, np.float32)
+    q, v = Tensor(np.zeros_like(q.data)), Tensor(np.full_like(v.data, 1e38))
+    assert _shifted(q, k, v, 0.25) == [True]
+    np.testing.assert_allclose(_taped_attention(q, k, v, 0.25), 1e38, rtol=1e-5)
+    np.testing.assert_allclose(T.attention_rows(q, k, v, 0.25).data, 1e38, rtol=1e-5)
+
+
 def test_attention_rows_shape_errors():
     q, k, v = _qkv(4, 8, F64)
     with pytest.raises(ShapeError):
@@ -1197,7 +1240,8 @@ def test_attention_rows_shape_errors():
 # ---------------------------------------------------------------------------
 
 
-PARALLEL_ROWS = [1, 127, 128, 129, 256, 257, 385, 1024, 4096]
+PARALLEL_ROWS = sorted({1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK + 1,
+                        1024, 4096})
 
 
 @pytest.fixture
@@ -1282,11 +1326,11 @@ def test_attention_rows_helper_starts_only_beyond_the_score_threshold_on_two_cpu
     monkeypatch.setattr(T, "_CPUS", 1)
     assert _threads_running_blocks(monkeypatch, lambda: _attention_call(1, 4096, 300)) == caller
     monkeypatch.setattr(T, "_CPUS", 2)
-    assert 4 * 256 * 256 == T.ATTN_HELPER_SCORES
-    for at_or_below in [lambda: _attention_call(4, 256, 256),  # at the threshold
-                        lambda: _attention_call(1, T.ATTN_ROW_BLOCK, 4096)]:  # one block
+    assert 4 * 512 * 512 == T.ATTN_HELPER_SCORES
+    for at_or_below in [lambda: _attention_call(4, 512, 512),  # at the threshold
+                        lambda: _attention_call(1, T.ATTN_ROW_BLOCK, 16384)]:  # one block
         assert _threads_running_blocks(monkeypatch, at_or_below) == caller
-    above = _threads_running_blocks(monkeypatch, lambda: _attention_call(1, 1025, 256))
+    above = _threads_running_blocks(monkeypatch, lambda: _attention_call(1, 1025, 1024))
     assert above == caller | {"bisource-attn_0"}
     _assert_no_helper_alive()
 

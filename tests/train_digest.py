@@ -1,14 +1,17 @@
-"""Print one SHA-256 over a few training steps of each head, in both dtypes.
+"""Print two SHA-256 digests over a few training steps of each head, in both dtypes.
 
 Builds binary (64 px), density (64 px) and 3-class (32 px) models in float32
-and float64, runs 3 AdamW steps of a batch of 8 random pairs on each, and
-hashes every step's loss, every parameter's gradient and value after the
-step, and the model's ``predict_scores`` on a held-out pair.  Two trees whose
-training arithmetic has the same bits print the same digest; run it on both
-sides of a change that claims so.  The batch is perfbench's training batch:
-at 2 pairs the digest missed a change to the order in which per-sample
-gradients are added, which perfbench's reference losses caught.  pytest
-does not collect this file; run it from the repository root:
+and float64 and runs 3 AdamW steps of a batch of 8 random pairs on each.  The
+first digest hashes every step's loss and every parameter's gradient and
+value after the step; the second hashes each trained model's
+``predict_scores`` on a held-out pair.  Two trees whose training arithmetic
+has the same bits print the same first digest; run it on both sides of a
+change that claims so.  The second also moves when an inference kernel's
+bits do, so a change to inference alone keeps the first and moves only the
+second.  The batch is perfbench's training batch: at 2 pairs the digest
+missed a change to the order in which per-sample gradients are added, which
+perfbench's reference losses caught.  pytest does not collect this file; run
+it from the repository root:
 
     PYTHONPATH=src python tests/train_digest.py
 """
@@ -40,28 +43,30 @@ def _target(rng: Rng, head: str, hw: int, n_classes: int = 2) -> np.ndarray:
     return (rng.uniform((hw, hw), 0.0, 1.0) > 0.5).astype(np.float32)
 
 
-def digest_run(h, head: str, extra: dict, hw: int, dtype) -> None:
-    """Feed one model's training steps and final scores to hash ``h``."""
+def digest_run(train, scores, head: str, extra: dict, hw: int, dtype) -> None:
+    """Feed one model's training steps to hash ``train`` and its final
+    scores to hash ``scores``."""
     config = ModelConfig(base_channels=16, num_prototypes=4, head=head, input_hw=(hw, hw), **extra)
     model = BiSourceModel(config, seed=3, dtype=dtype)
     optimizer = AdamW(model.parameters(), lr=1e-3, weight_decay=0.01)
     rng = Rng(11)
     for _ in range(STEPS):
         batch = [(*_pair(rng, hw), _target(rng, head, hw, **extra)) for _ in range(BATCH)]
-        h.update(np.float64(train_step(model, batch, optimizer)).tobytes())
+        train.update(np.float64(train_step(model, batch, optimizer)).tobytes())
         for p in model.parameters():
-            h.update(p.name.encode())
-            h.update(p.grad.tobytes())
-            h.update(p.value.data.tobytes())
-    h.update(model.predict_scores(*_pair(rng, hw)).tobytes())
+            train.update(p.name.encode())
+            train.update(p.grad.tobytes())
+            train.update(p.value.data.tobytes())
+    scores.update(model.predict_scores(*_pair(rng, hw)).tobytes())
 
 
 def main() -> int:
-    h = hashlib.sha256()
+    train, scores = hashlib.sha256(), hashlib.sha256()
     for head, extra, hw in HEADS:
         for dtype in (np.float32, np.float64):
-            digest_run(h, head, extra, hw, dtype)
-    print(h.hexdigest())
+            digest_run(train, scores, head, extra, hw, dtype)
+    print(f"training steps  {train.hexdigest()}")
+    print(f"trained scores  {scores.hexdigest()}")
     return 0
 
 
