@@ -300,9 +300,9 @@ def _ffn_flops(n: int, dim: int, r: int) -> int:
 
 
 def _comp_flops(L: int, C: int, D: int) -> int:
-    # product/diff, two pooled maps (integral-image adds ~4/elem each),
-    # norm over 3C, projection 3C -> 2D
-    return L * C + 2 * (4 * L * C) + 5 * L * 3 * C + L * 3 * C * 2 * D + L * 2 * D
+    # product/diff, two pooled maps (shifted-slice adds: 4/elem at window 3,
+    # 8/elem at window 5), norm over 3C, projection 3C -> 2D
+    return L * C + (4 + 8) * L * C + 5 * L * 3 * C + L * 3 * C * 2 * D + L * 2 * D
 
 
 def flops_of(

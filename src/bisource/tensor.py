@@ -75,7 +75,9 @@ slices, within window^2 float32 epsilons of the window's mean |x|;
 epsilons of the row's scale |gain| max|x| / sigma + |bias|;
 ``bilinear_upsample_2x`` takes two BLAS products, within 2 float32 epsilons
 of max|x|.  Each gives a sample the bits it has alone.  Taped calls and float64
-calls keep the exact forms, bit for bit.
+calls keep the exact forms, bit for bit.  For ``avg_pool_2d`` those are the
+same shifted slices in float64, and, for a taped float32 call, the float64
+integral image that perfbench's recorded training losses follow.
 
 Each piece of math is written once, in a private kernel that takes arrays
 and the op's weight Tensors and returns ``(output, back)``: ``back(g)`` adds
@@ -96,10 +98,8 @@ recorded one after another.  ``linear`` and ``mlp`` have the chain's bits in
 every mode, and a NaN or Inf anywhere in them is reported as the fused op's.
 Untaped ``cosine_attention``, in either dtype, takes exp of each sample's
 cosine scores, which lie in [-1, 1], with no shift, and divides their product
-with the values and a ones column by the row sums, one product per sample;
-with fewer queries than value columns it sums the rows of the exps instead
-of copying the values beside a ones column.  Either way it is within 4
-epsilons of the sample's max|v| of a float64 oracle (measured 0.96
+with the values by their product with a ones vector, the row sums.  It is
+within 4 epsilons of the sample's max|v| of a float64 oracle (measured 0.96
 in float32), not the taped bits.
 """
 
@@ -1101,11 +1101,10 @@ def cosine_attention(q: Tensor, k: Tensor, v: Tensor, b: int = 1) -> Tensor:
     With a Tape active this is one record with the chain's bits: the value
     product's, the softmax's and the cosine's backward in the chain's order.
     Without one, q's and k's rows are normalised with cosine_rows' clamp, so
-    each sample's scores lie in [-1, 1] and their exp needs no shift; one
-    product of the exps with the sample's values and a ones column gives
-    each row's sum p v and sum p, and the output is their quotient.  With
-    fewer queries M than value columns dv + 1, the exps' product with the
-    values and their row sums give the same, without the copy.  Only in
+    each sample's scores lie in [-1, 1] and their exp needs no shift; the
+    exps' product with the sample's values gives each row's sum p v, their
+    product with a ones vector, one matrix-vector product a sample, each
+    row's sum p, and the output is their quotient.  Only in
     a sample where that quotient is not finite, as when sum p v overflows,
     are the probabilities first divided by their row sums and the product
     taken again; a NaN or Inf in q, k or v still raises.  The output is not
@@ -1124,20 +1123,10 @@ def cosine_attention(q: Tensor, k: Tensor, v: Tensor, b: int = 1) -> Tensor:
             out, back = _attend(s, _slot(v), v3)
             return _out(out.reshape(q.shape[0], dv), lambda g: back_s(back(g)))
         np.exp(s, out=s)
-        if s.shape[1] < dv + 1:
-            # fewer queries than value columns: summing p's rows costs less
-            # than copying the values beside a ones column
-            out = np.matmul(s, v3)
-            total = s.sum(axis=2, keepdims=True)
-            out /= total
-        else:
-            # each sample's values and a ones column: one product gives sum p v and sum p
-            va = np.empty(v3.shape[:2] + (dv + 1,), dtype=np.result_type(q.data, k.data, v.data))
-            va[:, :, :dv] = v3
-            va[:, :, dv] = 1
-            pv = np.matmul(s, va)
-            total = pv[:, :, dv:]
-            out = pv[:, :, :dv] / total
+        out = np.matmul(s, v3)
+        # the row sums as one BLAS matrix-vector product a sample
+        total = np.matmul(s, np.ones(s.shape[2], dtype=s.dtype))[:, :, None]
+        out /= total
         if not all_finite(out):  # sum p v overflowed, or an input is not finite
             redo = ~np.isfinite(out).all(axis=(1, 2))  # samples alone, for their bits
             s[redo] /= total[redo]
@@ -1242,7 +1231,8 @@ def mlp(x: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, b1: Tensor, w2: Tenso
 
 def _box_sum(a: np.ndarray, window: int) -> np.ndarray:
     """Sum over a window x window neighborhood, clipped at the borders, of
-    each [H, W, C] map of ``a`` ([H, W, C] or [B, H, W, C]).
+    each [H, W, C] map of ``a`` ([H, W, C] or [B, H, W, C]), for taped
+    float32 calls of avg_pool_2d.
 
     ``s`` is the integral image of ``a`` zero-padded by r + 1 rows/columns
     before and r after, so s[k] is the sum of a[:k - r] with k - r clipped to
@@ -1269,7 +1259,8 @@ def _box_sum(a: np.ndarray, window: int) -> np.ndarray:
 def _box_sum_shifted(a: np.ndarray, window: int) -> np.ndarray:
     """_box_sum in a's own dtype: each axis's window sums as sums of shifted
     slices, the rows' first, clipped at the borders.  Each pixel adds its
-    window's values in the same order whatever the batch size."""
+    window's values, and no others, in the same order whatever the batch
+    size."""
     r = window // 2
     rows = a.copy()
     for s in range(1, r + 1):
@@ -1299,12 +1290,17 @@ def avg_pool_2d(x: Tensor, window: int) -> Tensor:
     """Shape-preserving average pooling (stride 1) with count-of-valid edges,
     of [H, W, C] or of each sample of [B, H, W, C].
 
-    Taped and float64 calls take their window sums from a float64 integral
-    image (``_box_sum``).  An inference call (``_inference``: float32, no
-    Tape) adds shifted float32 slices instead (``_box_sum_shifted``): at
-    most window^2 - 1 additions and one division, each rounding by half a
-    float32 epsilon, so the output is within window^2 float32 epsilons of
-    the window's mean |x| of the float64 average (measured 1.25).
+    Window sums add shifted slices in x's dtype (``_box_sum_shifted``),
+    forward and backward, so a sum reads its own window's values only: at
+    most window^2 - 1 additions and one division, each rounding by half an
+    epsilon, so the output is within window^2 epsilons of the window's mean
+    |x| (measured 1.25 for an inference call: float32, no Tape).  A taped
+    float32 call instead takes its sums from a float64 integral image
+    (``_box_sum``), whose rounding perfbench's recorded training losses
+    follow.  Its window sums are differences of sums over the map, each off
+    by up to about 1e-16 of the map's sum of |x|, so a small window beside
+    large values elsewhere loses its low bits or all of them: 1 and 2 beside
+    a 1e30 sum to 0.
     """
     if window % 2 == 0:
         raise ShapeError("avg_pool_2d: window must be odd")
@@ -1316,17 +1312,14 @@ def avg_pool_2d(x: Tensor, window: int) -> Tensor:
         return _out(x.data.copy(), fn_id, x)
     h, w = x.shape[-3:-1]
     counts = _valid_counts(h, w, window, x.data.dtype)[:, :, None]
-    if _inference(x.data):
-        with np.errstate(over="ignore", invalid="ignore"):  # a NaN or Inf is reported by _out
-            sums = _box_sum_shifted(x.data, window)
-        sums /= counts
-        return _out(sums, None)
-    y = _box_sum(x.data, window) / counts
-    dtype = x.data.dtype
+    taped32 = x.data.dtype == np.float32 and _active_tape.get() is not None
+    box_sum = _box_sum if taped32 else _box_sum_shifted
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN or Inf is reported by _out
+        y = box_sum(x.data, window) / counts
 
     def fn(g: np.ndarray, sx: _Slot) -> None:
         # adjoint of count-normalized box filtering is box-summing g / counts
-        _accum_own(sx, _box_sum((g / counts).astype(dtype), window))
+        _accum_own(sx, box_sum(g / counts, window))
 
     return _out(y, fn, x)
 

@@ -196,8 +196,13 @@ def test_box_sum_and_layer_norm_bits_match_their_references(shape, dtype):
         for window in (3, 5):
             sums = oracles.box_sum_ix(x, window)
             _assert_same_bits(T._box_sum(x, window), sums)
-            counts = T._valid_counts(*shape[:2], window, dtype)[:, :, None]
-            _assert_same_bits(T.avg_pool_2d(Tensor(x), window).data, sums / counts)
+            got = T.avg_pool_2d(Tensor(x), window).data
+            if dtype == np.float32:
+                counts = T._valid_counts(*shape[:2], window, dtype)[:, :, None]
+                _assert_same_bits(got, sums / counts)
+            else:  # float64 adds shifted slices, each window's values only
+                assert got.dtype == F64
+                np.testing.assert_allclose(got, oracles.avg_pool_loops(x, window), rtol=0, atol=1e-12)
         c = shape[-1]
         gain = Rng(1).normal((c,), dtype=dtype)
         bias = Rng(2).normal((c,), dtype=dtype)
@@ -237,6 +242,19 @@ def test_box_sum_has_the_bits_of_its_cumsum_form(shape, dtype):
     for a in (x, np.full(shape, -0.0, dtype), -np.abs(x)):
         for window in (3, 5, 7):
             _assert_same_bits(T._box_sum(a, window), _box_sum_cumsum(a, window))
+
+
+# taped float32 keeps the integral image, which gives 0 at [6, 6] here
+@pytest.mark.parametrize("dtype,taped", [(np.float32, False), (F64, False), (F64, True)],
+                         ids=["float32", "float64", "float64-taped"])
+def test_avg_pool_window_sums_do_not_cancel_a_far_large_value(dtype, taped):
+    # an integral image carries 1e30 into the sums it differences, and 1 and 2 are lost
+    x = np.zeros((8, 8, 1), dtype=dtype)
+    x[0, 0], x[6, 6], x[7, 7] = 1e30, 1, 2
+    with Tape() if taped else contextlib.nullcontext():
+        y = T.avg_pool_2d(Tensor(x), 3).data
+    assert y[6, 6, 0] == dtype(1 / 3)
+    assert y[0, 0, 0] == dtype(1e30 / 4)
 
 
 # The numpy erf of the taped and float64 gelu, against scipy's: every 4096th

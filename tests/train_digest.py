@@ -1,17 +1,22 @@
-"""Print two SHA-256 digests over a few training steps of each head, in both dtypes.
+"""Print two SHA-256 digests over a few training steps of each head, per dtype.
 
 Builds binary (64 px), density (64 px) and 3-class (32 px) models in float32
-and float64 and runs 3 AdamW steps of a batch of 8 random pairs on each.  The
-first digest hashes every step's loss and every parameter's gradient and
-value after the step; the second hashes each trained model's
+and float64 and runs 3 AdamW steps of a batch of 8 random pairs on each.  For
+each dtype, the first digest hashes every step's loss and every parameter's
+gradient and value after the step; the second hashes each trained model's
 ``predict_scores`` on a held-out pair.  Two trees whose training arithmetic
-has the same bits print the same first digest; run it on both sides of a
-change that claims so.  The second also moves when an inference kernel's
-bits do, so a change to inference alone keeps the first and moves only the
-second.  The batch is perfbench's training batch: at 2 pairs the digest
-missed a change to the order in which per-sample gradients are added, which
-perfbench's reference losses caught.  pytest does not collect this file; run
-it from the repository root:
+has the same bits print the same first digests; run it on both sides of a
+change that claims so.  A change to float64 rounding alone keeps the
+float32 digests and moves the float64 ones.  The second digest also moves
+when an inference kernel's bits do, so a change to inference alone keeps
+the first and moves only the second.  The batch is perfbench's training
+batch: at 2 pairs the digest missed a change to the order in which
+per-sample gradients are added, which perfbench's reference losses caught.
+Its 3 steps also miss a float32 rounding change whose first effect on the
+parameters comes later: forward box sums that differed in 5 of 4.8 million
+elements over 20 steps first moved a parameter at step 44 and broke the
+reference losses at step 82.
+pytest does not collect this file; run it from the repository root:
 
     PYTHONPATH=src python tests/train_digest.py
 """
@@ -61,12 +66,13 @@ def digest_run(train, scores, head: str, extra: dict, hw: int, dtype) -> None:
 
 
 def main() -> int:
-    train, scores = hashlib.sha256(), hashlib.sha256()
-    for head, extra, hw in HEADS:
-        for dtype in (np.float32, np.float64):
+    for dtype in (np.float32, np.float64):
+        train, scores = hashlib.sha256(), hashlib.sha256()
+        for head, extra, hw in HEADS:
             digest_run(train, scores, head, extra, hw, dtype)
-    print(f"training steps  {train.hexdigest()}")
-    print(f"trained scores  {scores.hexdigest()}")
+        name = np.dtype(dtype).name
+        print(f"training steps  {name}  {train.hexdigest()}")
+        print(f"trained scores  {name}  {scores.hexdigest()}")
     return 0
 
 
