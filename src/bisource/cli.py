@@ -193,9 +193,11 @@ def cmd_train(o: argparse.Namespace) -> int:
                 except NumericalError as exc:
                     return _abort(exc, out_dir)
                 step += 1
-            # a finite loss can still leave a parameter non-finite after the update
-            bad = next((p.name for p in model.parameters() if not T.all_finite(p.value.data)), None)
-            if bad is not None:
+            # a finite loss can still leave a parameter non-finite after the
+            # update: one probe over the optimizer's flat values, and a name
+            # only when it fails
+            if not T.all_finite(optimizer.values):
+                bad = next(p.name for p in model.parameters() if not T.all_finite(p.value.data))
                 return _abort(f"parameter {bad} holds NaN or Inf after step {step}", out_dir)
             mean_loss = float(np.mean(losses))
             row = [epoch, f"{mean_loss:.6f}"]

@@ -1,7 +1,10 @@
 """Toy-scale bi-source model: siamese 4-stage encoder with consistency
 blocks, linear deepest fusion, a cascade of difference blocks, and a light
 task head.  Trains with AdamW on binary/multiclass cross-entropy or a
-density regression loss.
+density regression loss.  AdamW keeps the parameters' values, their
+gradients and its two moments in four flat arrays and updates them in
+chunks, with the bits of one update per parameter; a model that only
+predicts builds no optimizer and holds no gradient.
 
 The model runs a batch of B image pairs at once.  Activations are rows
 [B*L, C], each sample's L tokens one after the other.  The ops that mix
@@ -408,40 +411,94 @@ def ablation_variant(model: BiSourceModel, drop: set[str]) -> BiSourceModel:
     return BiSourceModel(config, seed=model.seed, dtype=model.dtype)
 
 
+# Elements per chunk of AdamW.step: small enough that a chunk's operands and
+# temporaries stay in cache, large enough that the per-chunk Python cost is
+# small.  A step over perfbench's model (832,737 float32 elements in 260
+# parameters) on a 2-vCPU VM, medians of 3 runs of 7 rounds: 3.01 ms at 16K
+# elements, 2.79 at 32K, 2.82 at 64K, 4.30 in one pass over the whole buffer,
+# and 5.20 as one update per parameter.
+ADAMW_CHUNK = 32768
+
+
 class AdamW:
-    """Decoupled-weight-decay adaptive-moment optimizer."""
+    """Decoupled-weight-decay adaptive-moment optimizer over flat buffers.
+
+    Taking the parameters moves their values into one flat array, ``values``,
+    and their gradients into another, ``grads``, both in parameter order, and
+    binds each parameter to its views of them (``Parameter.bind``).  The
+    moments ``m`` and ``v`` are two flat arrays beside them.  ``step`` runs
+    the per-parameter update's expressions over chunks of ADAMW_CHUNK
+    elements.  Each element sees the same operations in the same order, so
+    the bits are those of one update per parameter.  ``zero_grad`` is one
+    fill.
+
+    The parameters must share one dtype.  A step whose parameters no longer
+    hold its views, because a later optimizer took them or their value or
+    gradient was rebound, raises a ValueError that names the first such
+    parameter rather than update a detached copy.
+    """
 
     def __init__(self, params: list[Parameter], lr: float, weight_decay: float = 0.0,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8) -> None:
+        params = list(params)
+        if not params:
+            raise ValueError("AdamW: params is empty")
+        for name, value in (("lr", lr), ("weight_decay", weight_decay)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"AdamW: {name} must be finite and at least 0, found {value!r}")
+        if not all(0 <= b < 1 for b in betas):  # a NaN fails it too
+            raise ValueError(f"AdamW: betas must lie in [0, 1), found {betas!r}")
+        if not eps > 0:
+            raise ValueError(f"AdamW: eps must be positive, found {eps!r}")
+        dtype = params[0].value.dtype
+        for p in params:
+            if p.value.dtype != dtype:
+                raise ValueError(f"AdamW: parameter {p.name} is {p.value.dtype}, "
+                                 f"but {params[0].name} is {dtype}")
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
         self.b1, self.b2 = betas
         self.eps = eps
         self.t = 0
-        self.m = {p.name: np.zeros_like(p.value.data) for p in params}
-        self.v = {p.name: np.zeros_like(p.value.data) for p in params}
+        size = sum(p.value.data.size for p in params)
+        self.values = np.empty(size, dtype)
+        self.grads = np.empty(size, dtype)
+        self.m = np.zeros(size, dtype)
+        self.v = np.zeros(size, dtype)
+        self._views: list[tuple[np.ndarray, np.ndarray]] = []
+        start = 0
+        for p in params:
+            shape, stop = p.value.shape, start + p.value.data.size
+            views = self.values[start:stop].reshape(shape), self.grads[start:stop].reshape(shape)
+            p.bind(*views)
+            self._views.append(views)
+            start = stop
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        self.grads.fill(0.0)
 
     def step(self) -> None:
+        for p, (value, grad) in zip(self.params, self._views):
+            if p.value.data is not value or p.value.grad is not grad:
+                raise ValueError(f"AdamW.step: parameter {p.name} no longer holds this "
+                                 "optimizer's buffers (taken by a later optimizer or rebound)")
         if self.lr == 0.0:
             return
         self.t += 1
         bc1 = 1.0 - self.b1**self.t
         bc2 = 1.0 - self.b2**self.t
-        for p in self.params:
-            g = p.grad
-            m = self.m[p.name]
-            v = self.v[p.name]
+        for start in range(0, self.values.size, ADAMW_CHUNK):
+            chunk = slice(start, start + ADAMW_CHUNK)
+            g = self.grads[chunk]
+            m = self.m[chunk]
+            v = self.v[chunk]
             m *= self.b1
             m += (1.0 - self.b1) * g
             v *= self.b2
             v += (1.0 - self.b2) * g * g
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            data = p.value.data
+            data = self.values[chunk]
             data -= self.lr * self.weight_decay * data
             data -= self.lr * update.astype(data.dtype)
 

@@ -10,8 +10,10 @@ or Inf, or finite values whose squares overflow), so it is exact.
 A Tensor's gradient lives in its slot (``_Slot``), made the first time a
 taped op records or reads the tensor; ``Tensor.grad`` and ``Parameter.grad``
 read and write it.  A Parameter's gradient is made, as zeros, the first time
-``Parameter.grad`` or ``zero_grad`` reads it, so a model that only predicts
-holds no gradient arrays.  Under a Tape an op records its output's slot, not
+``Parameter.grad`` or ``zero_grad`` reads it, or when an optimizer takes the
+parameters and binds each one's value and gradient to views of its flat
+buffers (``Parameter.bind``), so a model that only predicts holds no gradient
+arrays.  Under a Tape an op records its output's slot, not
 the output, with a closure that holds the arrays its backward reads and the
 slots of the inputs it adds into, never a Tensor.  So an output that no
 backward reads, such as one that only ``add``, ``layer_norm``, ``reshape``, a
@@ -299,7 +301,10 @@ class Parameter:
     """Learnable tensor with a persistent gradient accumulator.
 
     The accumulator is made, as zeros, the first time ``grad`` or
-    ``zero_grad`` reads it, so a parameter that only predicts holds none."""
+    ``zero_grad`` reads it, or when an optimizer takes the parameter
+    (``bind``), so a parameter that only predicts holds none.  Backward adds
+    into it in place, so a bound gradient stays a view of the optimizer's
+    buffer."""
 
     __slots__ = ("value", "name")
 
@@ -320,6 +325,17 @@ class Parameter:
     def assign(self, data: np.ndarray) -> None:
         """In-place update of the underlying value (optimizer use only)."""
         self.value.data[...] = data
+
+    def bind(self, values: np.ndarray, grad: np.ndarray) -> None:
+        """Move the value into ``values`` and the gradient into ``grad``,
+        C-contiguous arrays of the value's shape and dtype (an optimizer's
+        views of its flat buffers), and keep them as the parameter's own.  A
+        gradient not made yet starts as zeros."""
+        values[...] = self.value.data
+        g = self.value.grad
+        grad[...] = 0.0 if g is None else g
+        self.value.data = values
+        self.value.grad = grad
 
     def __repr__(self) -> str:
         return f"Parameter({self.name}, shape={self.value.shape})"

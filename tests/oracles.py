@@ -286,3 +286,48 @@ def fbeta_sweep_loops(pred: np.ndarray, gt: np.ndarray, beta2: float = 0.3,
         if pre + rec:
             out[idx] = (1 + beta2) * pre * rec / (beta2 * pre + rec)
     return out
+
+
+# ---------------------------------------------------------------------------
+# optimizer
+# ---------------------------------------------------------------------------
+
+
+class AdamWPerParameter:
+    """AdamW as one update per parameter array, with m and v kept per
+    parameter name: the loop ``bisource.model.AdamW`` ran before it took flat
+    buffers, copied unchanged.  The flat optimizer must keep its bits."""
+
+    def __init__(self, params, lr: float, weight_decay: float = 0.0,
+                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8) -> None:
+        self.params = params
+        self.lr = lr
+        self.weight_decay = weight_decay
+        self.b1, self.b2 = betas
+        self.eps = eps
+        self.t = 0
+        self.m = {p.name: np.zeros_like(p.value.data) for p in params}
+        self.v = {p.name: np.zeros_like(p.value.data) for p in params}
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.zero_grad()
+
+    def step(self) -> None:
+        if self.lr == 0.0:
+            return
+        self.t += 1
+        bc1 = 1.0 - self.b1**self.t
+        bc2 = 1.0 - self.b2**self.t
+        for p in self.params:
+            g = p.grad
+            m = self.m[p.name]
+            v = self.v[p.name]
+            m *= self.b1
+            m += (1.0 - self.b1) * g
+            v *= self.b2
+            v += (1.0 - self.b2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            data = p.value.data
+            data -= self.lr * self.weight_decay * data
+            data -= self.lr * update.astype(data.dtype)
